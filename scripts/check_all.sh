@@ -21,11 +21,19 @@
 #   bench json   scripts/check_bench_json.sh (BENCH_*.json schema + the
 #                phases-sum-to-wall-clock invariant, smoke-mode run,
 #                2x wall-clock ceiling vs bench/baseline)
+#   perfbench    one 1-second run of each benchmark workload (relate, serve,
+#                refresh; see perfbench/NOTES.md): each must exit 0 and
+#                report "correct": true, so the benchmark's CubeExplorer,
+#                baseline and ComputeRelationships answer checks act as one
+#                more end-to-end oracle, and API drift that breaks the
+#                benchmark fails here
 #   sanitizers   scripts/check_sanitizers.sh (ASan, UBSan, TSan trees)
 #
 # Usage: scripts/check_all.sh [--fast]
-#   --fast skips the sanitizer rebuilds (three extra -j1 trees; by far the
-#   slowest stage) — the mode meant for inner-loop use. CI runs the full set.
+#   --fast skips the perfbench smoke runs (a Release build of its own into
+#   .bench_build/) and the sanitizer rebuilds (three extra -j1 trees; by far
+#   the slowest stage) — the mode meant for inner-loop use. CI runs the full
+#   set.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,6 +66,20 @@ echo "== bench json =="
 scripts/check_bench_json.sh --baseline bench/baseline
 
 if [ "$fast" -eq 0 ]; then
+  echo "== perfbench smoke =="
+  for workload in relate serve refresh; do
+    if ! result=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+        --seconds 1 --trace 0); then
+      echo "perfbench $workload: run failed" >&2
+      exit 1
+    fi
+    printf '%s\n' "$result" | tail -n 1
+    if ! printf '%s\n' "$result" | tail -n 1 | grep -q '"correct": true'; then
+      echo "perfbench $workload: an answer check failed" >&2
+      exit 1
+    fi
+  done
+
   echo "== sanitizers =="
   scripts/check_sanitizers.sh
 fi

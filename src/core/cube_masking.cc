@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "base/hot.h"
-
+#include "core/pair_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/cube_space.h"
@@ -86,41 +86,6 @@ struct Run {
     return Status::OK();
   }
 
-  // checkFullCont of Algorithm 4 (dimension part only; the measure gate is
-  // applied by callers since complementarity must not use it).
-  RDFCUBE_HOT bool DimsContain(qb::ObsId a, qb::ObsId b) const {
-    const qb::CubeSpace& space = obs_.space();
-    for (qb::DimId d = 0; d < num_dims(); ++d) {
-      if (!space.code_list(d).IsAncestorOrSelf(obs_.ValueOrRoot(a, d),
-                                               obs_.ValueOrRoot(b, d))) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Number of dimensions where a's value contains b's, with optional mask.
-  RDFCUBE_HOT std::size_t CountContainingDims(qb::ObsId a, qb::ObsId b,
-                                              uint64_t* mask) const {
-    const qb::CubeSpace& space = obs_.space();
-    std::size_t count = 0;
-    for (qb::DimId d = 0; d < num_dims(); ++d) {
-      if (space.code_list(d).IsAncestorOrSelf(obs_.ValueOrRoot(a, d),
-                                              obs_.ValueOrRoot(b, d))) {
-        ++count;
-        if (mask != nullptr) *mask |= (uint64_t{1} << d);
-      }
-    }
-    return count;
-  }
-
-  RDFCUBE_HOT bool ValuesEqual(qb::ObsId a, qb::ObsId b) const {
-    for (qb::DimId d = 0; d < num_dims(); ++d) {
-      if (obs_.ValueOrRoot(a, d) != obs_.ValueOrRoot(b, d)) return false;
-    }
-    return true;
-  }
-
   // Visits every ordered cube pair (j, k) with outer cube j in
   // [begin_cube, end_cube) where j's signature dominates k's (all dims when
   // `all_required`, any dim otherwise). With a pre-fetched children index,
@@ -171,7 +136,7 @@ struct Run {
               if (a == b) continue;
               RDFCUBE_RETURN_IF_ERROR(CheckDeadline());
               if (stats != nullptr) ++stats->observation_pairs_compared;
-              if (obs_.SharesMeasure(a, b) && DimsContain(a, b)) {
+              if (obs_.SharesMeasure(a, b) && DimsContain(obs_, a, b)) {
                 if (stats != nullptr) ++stats->relationships_emitted;
                 sink->OnFullContainment(a, b);
               }
@@ -195,7 +160,7 @@ struct Run {
               if (!obs_.SharesMeasure(a, b)) continue;
               uint64_t mask = 0;
               const std::size_t count =
-                  CountContainingDims(a, b, want_mask ? &mask : nullptr);
+                  CountContainingDims(obs_, a, b, want_mask ? &mask : nullptr);
               if (count > 0 && count < kd) {
                 if (stats != nullptr) ++stats->relationships_emitted;
                 sink->OnPartialContainment(
@@ -218,7 +183,7 @@ struct Run {
         for (std::size_t y = x + 1; y < ms.size(); ++y) {
           RDFCUBE_RETURN_IF_ERROR(CheckDeadline());
           if (stats != nullptr) ++stats->observation_pairs_compared;
-          if (ValuesEqual(ms[x], ms[y])) {
+          if (ValuesEqual(obs_, ms[x], ms[y])) {
             if (stats != nullptr) ++stats->relationships_emitted;
             sink->OnComplementarity(std::min(ms[x], ms[y]),
                                     std::max(ms[x], ms[y]));
@@ -255,8 +220,8 @@ struct Run {
               const bool shares = obs_.SharesMeasure(a, b);
               if (shares && need_counts) {
                 uint64_t mask = 0;
-                const std::size_t count =
-                    CountContainingDims(a, b, want_mask ? &mask : nullptr);
+                const std::size_t count = CountContainingDims(
+                    obs_, a, b, want_mask ? &mask : nullptr);
                 if (count == kd) {
                   if (sel.full_containment) {
                     if (stats != nullptr) ++stats->relationships_emitted;
@@ -270,13 +235,13 @@ struct Run {
                       mask);
                 }
               } else if (shares && sel.full_containment && all_dom) {
-                if (DimsContain(a, b)) {
+                if (DimsContain(obs_, a, b)) {
                   if (stats != nullptr) ++stats->relationships_emitted;
                   sink->OnFullContainment(a, b);
                 }
               }
               if (sel.complementarity && same_cube && a < b &&
-                  ValuesEqual(a, b)) {
+                  ValuesEqual(obs_, a, b)) {
                 if (stats != nullptr) ++stats->relationships_emitted;
                 sink->OnComplementarity(a, b);
               }

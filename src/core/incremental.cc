@@ -6,8 +6,8 @@
 
 #include "base/hot.h"
 #include "core/checkpoint.h"
+#include "core/pair_kernel.h"
 #include "core/snapshot_io.h"
-#include "hierarchy/code_list.h"
 #include "obs/metrics.h"
 #include "qb/cube_space.h"
 #include "qb/observation_set.h"
@@ -125,16 +125,9 @@ void IncrementalEngine::Link(qb::ObsId a, qb::ObsId b) {
 }
 
 void IncrementalEngine::Compare(qb::ObsId a, qb::ObsId b) {
-  const qb::CubeSpace& space = obs_->space();
-  const std::size_t k = space.num_dimensions();
-  std::size_t count_ab = 0, count_ba = 0;
-  for (qb::DimId d = 0; d < k; ++d) {
-    const hierarchy::CodeList& list = space.code_list(d);
-    const hierarchy::CodeId va = obs_->ValueOrRoot(a, d);
-    const hierarchy::CodeId vb = obs_->ValueOrRoot(b, d);
-    if (list.IsAncestorOrSelf(va, vb)) ++count_ab;
-    if (list.IsAncestorOrSelf(vb, va)) ++count_ba;
-  }
+  const std::size_t k = obs_->space().num_dimensions();
+  const std::size_t count_ab = CountContainingDims(*obs_, a, b, nullptr);
+  const std::size_t count_ba = CountContainingDims(*obs_, b, a, nullptr);
   const bool shares = obs_->SharesMeasure(a, b);
   bool linked = false;
   auto link_once = [&] {
@@ -174,44 +167,19 @@ void IncrementalEngine::Compare(qb::ObsId a, qb::ObsId b) {
 }
 
 void IncrementalEngine::Export(RelationshipSink* sink) const {
-  // Unlimited deadline: the bounded overload cannot time out.
-  (void)Export(sink, Deadline());
-}
-
-RDFCUBE_HOT Status IncrementalEngine::Export(RelationshipSink* sink,
-                                             const Deadline& deadline) const {
-  // Check the deadline once per batch, not per emission: the per-item work
-  // is two shifts and a virtual call, so a clock read each time would
-  // dominate.
-  constexpr std::size_t kDeadlineStride = 4096;
-  std::size_t since_check = 0;
-  const auto expired = [&]() {
-    if (++since_check < kDeadlineStride) return false;
-    since_check = 0;
-    return deadline.Expired();
-  };
-  // An already-expired deadline fails before any emission, regardless of
-  // how little there is to export.
-  if (deadline.Expired()) {
-    return Status::TimedOut("deadline expired in export");
-  }
   for (uint64_t key : full_) {
-    if (expired()) return Status::TimedOut("deadline expired in export");
     sink->OnFullContainment(static_cast<qb::ObsId>(key >> 32),
                             static_cast<qb::ObsId>(key & 0xffffffffu));
   }
   for (const auto& [key, degree] : partial_) {
-    if (expired()) return Status::TimedOut("deadline expired in export");
     sink->OnPartialContainment(static_cast<qb::ObsId>(key >> 32),
                                static_cast<qb::ObsId>(key & 0xffffffffu),
                                degree, 0);
   }
   for (uint64_t key : compl_) {
-    if (expired()) return Status::TimedOut("deadline expired in export");
     sink->OnComplementarity(static_cast<qb::ObsId>(key >> 32),
                             static_cast<qb::ObsId>(key & 0xffffffffu));
   }
-  return Status::OK();
 }
 
 RDFCUBE_HOT std::vector<qb::ObsId> IncrementalEngine::Containers(
@@ -255,8 +223,8 @@ RDFCUBE_HOT std::vector<qb::ObsId> IncrementalEngine::Complements(
   return out;
 }
 
-RDFCUBE_HOT std::vector<IncrementalEngine::PartialMatch>
-IncrementalEngine::PartiallyContained(qb::ObsId id, double min_degree) const {
+RDFCUBE_HOT std::vector<PartialMatch> IncrementalEngine::PartiallyContained(
+    qb::ObsId id, double min_degree) const {
   std::vector<PartialMatch> out;
   auto it = partners_.find(id);
   if (it == partners_.end()) return out;

@@ -16,7 +16,6 @@
 #include "core/relationship.h"
 #include "qb/observation_set.h"
 #include "base/status.h"
-#include "base/stopwatch.h"
 
 namespace rdfcube {
 namespace core {
@@ -59,17 +58,10 @@ class IncrementalEngine {
   /// Degree of Cont_partial(a, b), or 0 when absent.
   double PartialDegree(qb::ObsId a, qb::ObsId b) const;
 
-  /// \brief One partially-contained partner with its OCM degree.
-  struct PartialMatch {
-    qb::ObsId other;
-    double degree;
-  };
-
-  // Point lookups over the materialized sets (the read-side API the
-  // relationship snapshot serves): each costs O(partners of id) hash probes
-  // against the stored S_F / S_P / S_C, no kernel work. Results are sorted
-  // ascending for deterministic wire encoding. A dead or never-integrated id
-  // yields an empty result.
+  // Point lookups over the materialized sets: each costs O(partners of id)
+  // hash probes against the stored S_F / S_P / S_C, no kernel work. Results
+  // are sorted ascending. A dead or never-integrated id yields an empty
+  // result.
 
   /// Live observations that fully contain `id` (its roll-up targets).
   std::vector<qb::ObsId> Containers(qb::ObsId id) const;
@@ -91,12 +83,6 @@ class IncrementalEngine {
 
   /// Dumps the current sets into a sink (ordering unspecified).
   void Export(RelationshipSink* sink) const;
-
-  /// Export bounded by a cooperative deadline (checked every few thousand
-  /// emissions): TimedOut when it expires mid-dump, with the sink already
-  /// holding a prefix of the sets.
-  [[nodiscard]] Status Export(RelationshipSink* sink,
-                              const Deadline& deadline) const;
 
   // --- Checkpointing ---------------------------------------------------------
   // A long add/retire stream can snapshot the engine periodically; a killed

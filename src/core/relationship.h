@@ -39,6 +39,13 @@ struct RelationshipSelector {
   static RelationshipSelector ComplOnly() { return {false, false, true, false}; }
 };
 
+/// \brief One partially-contained partner of a point lookup, with its OCM
+/// degree (the fraction of dimensions exhibiting containment).
+struct PartialMatch {
+  ObsId other;
+  double degree;
+};
+
 /// \brief Receives relationships as they are discovered.
 ///
 /// Result sets grow quadratically in adversarial inputs; sinks let callers

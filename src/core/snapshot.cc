@@ -1,26 +1,39 @@
 #include "core/snapshot.h"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "base/hot.h"
 #include "base/untrusted.h"
 #include "core/checkpoint.h"
+#include "core/cube_masking.h"
+#include "core/pair_kernel.h"
 #include "core/snapshot_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/binary_io.h"
+#include "qb/cube_space.h"
 #include "util/fault.h"
+#include "util/safe_math.h"
 
 namespace rdfcube {
 namespace core {
 
 namespace {
 
+using Rows = RelationshipSnapshot::Rows;
 using snapshot::ByteReader;
 using snapshot::PutU32;
 using snapshot::PutU64;
+using snapshot::PutU8;
+
+// Records a scan emits between two deadline checks.
+constexpr std::size_t kDeadlineStride = 4096;
 
 Status Corrupt(const char* what) {
   return Status::ParseError(std::string("corrupt snapshot: ") + what);
@@ -43,8 +56,8 @@ RDFCUBE_COLD Status PointLookupNotFound(qb::ObsId id) {
                           " is not in the snapshot");
 }
 
-// Deadline gate shared by the point lookups: they are O(partners) probes, so
-// expiry is only honored at entry rather than mid-probe.
+// Deadline gate shared by the point lookups: they copy one row, so expiry is
+// only honored at entry rather than mid-copy.
 RDFCUBE_HOT Status CheckPointQuery(qb::ObsId id, std::size_t num_obs,
                                    const Deadline& deadline) {
   if (deadline.Expired()) {
@@ -60,27 +73,305 @@ RDFCUBE_HOT Status CheckPointQuery(qb::ObsId id, std::size_t num_obs,
   return Status::OK();
 }
 
-}  // namespace
-
-Status RelationshipSnapshot::Integrate(qb::ObsId first, qb::ObsId limit,
-                                       const Deadline& deadline) {
-  for (qb::ObsId i = first; i < limit; ++i) {
-    if (deadline.Expired()) {
-      return Status::TimedOut("snapshot build deadline expired at observation " +
-                              std::to_string(i));
-    }
-    if (FaultTriggered(kFaultSnapshotBuild)) {
-      return Status::Internal("injected snapshot build failure at observation " +
-                              std::to_string(i));
-    }
-    RDFCUBE_RETURN_IF_ERROR(engine_.OnObservationAdded(i));
+// A build's fault point, consulted once per observation it covers.
+Status CheckBuildFault(qb::ObsId i) {
+  if (FaultTriggered(kFaultSnapshotBuild)) {
+    return Status::Internal("injected snapshot build failure at observation " +
+                            std::to_string(i));
   }
-  static obs::Counter& integrated = obs::DefaultCounter(
-      "rdfcube_core_snapshot_observations_total",
-      "Observations integrated into relationship snapshots");
-  integrated.Increment(limit - first);
   return Status::OK();
 }
+
+void CountObservations(std::size_t n) {
+  static obs::Counter& covered = obs::DefaultCounter(
+      "rdfcube_core_snapshot_observations_total",
+      "Observations integrated into relationship snapshots");
+  covered.Increment(n);
+}
+
+// --- Freezing ----------------------------------------------------------------
+
+// Append-only buffer in fixed-size blocks: growth never copies what is
+// already collected, so a build's transient peak is the entries themselves.
+template <typename T>
+class BlockBuffer {
+ public:
+  void Push(const T& entry) {
+    if (blocks_.empty() || blocks_.back().size() == kBlock) {
+      blocks_.emplace_back();
+      blocks_.back().reserve(kBlock);
+    }
+    blocks_.back().push_back(entry);
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const std::vector<T>& block : blocks_) {
+      for (const T& entry : block) fn(entry);
+    }
+  }
+
+  void Release() { std::vector<std::vector<T>>().swap(blocks_); }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{1} << 14;
+  std::vector<std::vector<T>> blocks_;
+};
+
+struct PairEntry {
+  qb::ObsId a;
+  qb::ObsId b;
+};
+
+struct PartialEntry {
+  qb::ObsId a;
+  qb::ObsId b;
+  uint32_t count;  // containing dimensions
+};
+
+uint32_t CountOf(const PairEntry&) { return 0; }
+uint32_t CountOf(const PartialEntry& e) { return e.count; }
+
+// Relationships as cubeMasking or the refresh delta produce them, in any
+// order, at most 12 bytes each (CollectingSink's partial records take 24).
+struct Emissions : public RelationshipSink {
+  explicit Emissions(std::size_t num_dims)
+      : dims(static_cast<double>(num_dims)) {}
+
+  void OnFullContainment(qb::ObsId a, qb::ObsId b) override {
+    full.Push({a, b});
+  }
+  void OnPartialContainment(qb::ObsId a, qb::ObsId b, double degree,
+                            uint64_t /*dim_mask*/) override {
+    // The kernel's degree is count / dims exactly; rounding recovers count.
+    partial.Push({a, b, static_cast<uint32_t>(std::lround(degree * dims))});
+  }
+  void OnComplementarity(qb::ObsId a, qb::ObsId b) override {
+    compl_upper.Push({a, b});
+  }
+
+  double dims;
+  BlockBuffer<PairEntry> full;
+  BlockBuffer<PartialEntry> partial;
+  BlockBuffer<PairEntry> compl_upper;  // a < b
+};
+
+// Counting sort into CSR rows over `n` observations. `for_each(place)` must
+// call place(row, partner, count) once per entry, identically on both of its
+// calls (count, then place); each row keeps its entries in call order.
+template <typename ForEach>
+Rows Scatter(std::size_t n, bool with_counts, ForEach&& for_each) {
+  Rows out;
+  out.offsets.assign(n + 1, 0);
+  for_each([&out](qb::ObsId row, qb::ObsId, uint32_t) {
+    ++out.offsets[row + 1];
+  });
+  for (std::size_t r = 0; r < n; ++r) out.offsets[r + 1] += out.offsets[r];
+  out.ids.resize(out.offsets[n]);
+  if (with_counts) out.counts.resize(out.offsets[n]);
+  std::vector<uint64_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  for_each([&](qb::ObsId row, qb::ObsId partner, uint32_t count) {
+    const uint64_t pos = next[row]++;
+    out.ids[pos] = partner;
+    if (with_counts) out.counts[pos] = static_cast<uint8_t>(count);
+  });
+  return out;
+}
+
+// Row r of the result lists every p whose row in `in` holds r. Walking `in`
+// in row order leaves each result row ascending: the freeze primitive every
+// build, refresh and load goes through.
+Rows Transpose(const Rows& in, std::size_t n) {
+  const bool with_counts = !in.counts.empty();
+  return Scatter(n, with_counts, [&](auto&& place) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (uint64_t pos = in.offsets[r]; pos < in.offsets[r + 1]; ++pos) {
+        place(in.ids[pos], static_cast<qb::ObsId>(r),
+              with_counts ? in.counts[pos] : 0u);
+      }
+    }
+  });
+}
+
+// Freezes emissions given in any order: group them by partner, then
+// transpose, so every row comes out ascending (two counting-sort passes,
+// O(n + m)). The buffer is released between the passes to bound the peak.
+template <typename T>
+Rows Freeze(std::size_t n, bool with_counts, BlockBuffer<T>* entries) {
+  Rows by_partner = Scatter(n, with_counts, [&](auto&& place) {
+    entries->ForEach([&](const T& e) { place(e.b, e.a, CountOf(e)); });
+  });
+  entries->Release();
+  return Transpose(by_partner, n);
+}
+
+uint64_t RowLength(const Rows& rows, std::size_t r) {
+  return r + 1 < rows.offsets.size() ? rows.offsets[r + 1] - rows.offsets[r]
+                                     : 0;
+}
+
+// Row r of the result is x's row r followed by y's (rows past the end of x
+// are empty). Rows stay ascending because wherever this is used every
+// partner in y's row r exceeds every partner in x's row r: a refresh
+// appends ids above the base's, and a complement row's lower partners
+// precede its upper ones.
+Rows ConcatRows(std::size_t n, const Rows& x, const Rows& y) {
+  const bool with_counts = !x.counts.empty() || !y.counts.empty();
+  Rows out;
+  out.offsets.assign(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    out.offsets[r + 1] = out.offsets[r] + RowLength(x, r) + RowLength(y, r);
+  }
+  out.ids.resize(out.offsets[n]);
+  if (with_counts) out.counts.resize(out.offsets[n]);
+  for (std::size_t r = 0; r < n; ++r) {
+    uint64_t pos = out.offsets[r];
+    for (const Rows* part : {&x, &y}) {
+      const uint64_t len = RowLength(*part, r);
+      if (len == 0) continue;
+      const uint64_t from = part->offsets[r];
+      std::copy_n(part->ids.data() + from, len, out.ids.data() + pos);
+      if (with_counts) {
+        std::copy_n(part->counts.data() + from, len, out.counts.data() + pos);
+      }
+      pos += len;
+    }
+  }
+  return out;
+}
+
+// The rows Build derives instead of storing: containers are the transpose
+// of full containment, and complement rows hold both directions (the
+// transposed upper pairs, then the upper pairs). LoadFrom validates every
+// stored row before calling this, so the sizes here are bounded by arrays
+// already held in memory.
+RDFCUBE_TAINT_BARRIER void DeriveRows(std::size_t n, const Rows& full,
+                                      const Rows& compl_upper,
+                                      Rows* containers, Rows* complements) {
+  *containers = Transpose(full, n);
+  *complements = ConcatRows(n, Transpose(compl_upper, n), compl_upper);
+}
+
+// One unordered pair {x, y}, x < y, through cubeMasking's pair kernel in
+// both directions: emits exactly what the fused pass emits for it.
+void EvaluatePair(const qb::ObservationSet& observations,
+                  const RelationshipSelector& sel, qb::ObsId x, qb::ObsId y,
+                  Emissions* out) {
+  const std::size_t k = observations.space().num_dimensions();
+  if ((sel.full_containment || sel.partial_containment) &&
+      observations.SharesMeasure(x, y)) {
+    for (const auto& [a, b] : {std::pair{x, y}, std::pair{y, x}}) {
+      const std::size_t count =
+          CountContainingDims(observations, a, b, nullptr);
+      if (count == k) {
+        if (sel.full_containment) out->full.Push({a, b});
+      } else if (count > 0 && sel.partial_containment) {
+        out->partial.Push({a, b, static_cast<uint32_t>(count)});
+      }
+    }
+  }
+  if (sel.complementarity && ValuesEqual(observations, x, y)) {
+    out->compl_upper.Push({x, y});
+  }
+}
+
+// Complement rows restricted to partners above their row (the stored form).
+Rows UpperHalf(const Rows& rows, std::size_t n) {
+  Rows out;
+  out.offsets.reserve(n + 1);
+  out.offsets.push_back(0);
+  out.ids.reserve(rows.ids.size() / 2);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (uint64_t pos = rows.offsets[r]; pos < rows.offsets[r + 1]; ++pos) {
+      if (rows.ids[pos] > r) out.ids.push_back(rows.ids[pos]);
+    }
+    out.offsets.push_back(out.ids.size());
+  }
+  return out;
+}
+
+// Stored form of one row set: entry count, n + 1 offsets, the ids, then one
+// count byte per entry when the rows carry counts.
+void PutRows(std::string* out, const Rows& rows) {
+  PutU64(out, rows.ids.size());
+  for (uint64_t offset : rows.offsets) PutU64(out, offset);
+  for (qb::ObsId id : rows.ids) PutU32(out, id);
+  for (uint8_t count : rows.counts) PutU8(out, count);
+}
+
+// How a stored row set is shaped: plain pairs, pairs above their row
+// (complementarity, a < b), or pairs with a containment count per entry.
+enum class StoredRows { kPairs, kUpperPairs, kCounted };
+
+// Reads one stored row set over `n` observations, clamping every length
+// against the bytes present before sizing anything, then validates it:
+// offsets start at 0, never decrease and end at the entry count; each row
+// is strictly ascending with ids < n and no self pair (kUpperPairs: every
+// id exceeds its row); kCounted entries have a count in [1, dims - 1],
+// i.e. a degree in (0, 1).
+Status ReadRows(ByteReader* r, std::size_t n, StoredRows shape,
+                std::size_t dims, Rows* rows) {
+  const bool counted = shape == StoredRows::kCounted;
+  const bool upper = shape == StoredRows::kUpperPairs;
+  uint64_t m;
+  if (!r->GetU64(&m)) return Corrupt("row entry count");
+  const Result<uint64_t> num_offsets = util::CheckedAdd<uint64_t>(n, 1);
+  if (!num_offsets.ok()) return Corrupt("row offsets overflow");
+  const Result<uint64_t> offset_bytes =
+      util::CheckedMul<uint64_t>(num_offsets.value(), 8);
+  const Result<uint64_t> entry_bytes =
+      util::CheckedMul<uint64_t>(m, counted ? 5 : 4);
+  if (!offset_bytes.ok() || !entry_bytes.ok()) {
+    return Corrupt("row lengths overflow");
+  }
+  const Result<uint64_t> total =
+      util::CheckedAdd(offset_bytes.value(), entry_bytes.value());
+  if (!total.ok() || total.value() > r->Remaining()) {
+    return Corrupt("row lengths exceed the file");
+  }
+  rows->offsets.resize(num_offsets.value());
+  for (uint64_t& offset : rows->offsets) {
+    if (!r->GetU64(&offset)) return Corrupt("row offsets");
+  }
+  if (rows->offsets.front() != 0 || rows->offsets.back() != m) {
+    return Corrupt("row offsets do not span the entries");
+  }
+  // Monotone offsets ending at m keep every row inside the ids read next.
+  for (std::size_t row = 0; row < n; ++row) {
+    if (rows->offsets[row + 1] < rows->offsets[row]) {
+      return Corrupt("row offsets decrease");
+    }
+  }
+  rows->ids.resize(m);
+  for (qb::ObsId& id : rows->ids) {
+    if (!r->GetU32(&id)) return Corrupt("row ids");
+  }
+  for (std::size_t row = 0; row < n; ++row) {
+    const uint64_t begin = rows->offsets[row];
+    const uint64_t end = rows->offsets[row + 1];
+    for (uint64_t pos = begin; pos < end; ++pos) {
+      const qb::ObsId id = rows->ids[pos];
+      if (id >= n || id == row || (upper && id < row)) {
+        return Corrupt("row id out of range");
+      }
+      if (pos > begin && id <= rows->ids[pos - 1]) {
+        return Corrupt("row ids not strictly ascending");
+      }
+    }
+  }
+  if (counted) {
+    rows->counts.resize(m);
+    for (uint8_t& count : rows->counts) {
+      if (!r->GetU8(&count)) return Corrupt("partial degrees");
+      if (count == 0 || count >= dims) {
+        return Corrupt("partial degree outside (0, 1)");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
     qb::Corpus corpus, const BuildOptions& options) {
@@ -88,11 +379,35 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
   if (corpus.space == nullptr || corpus.observations == nullptr) {
     return Status::InvalidArgument("snapshot build needs a complete corpus");
   }
+  // The kernel checks its deadline every few thousand pairs, which a tiny
+  // corpus never reaches.
+  if (options.deadline.Expired()) {
+    return Status::TimedOut("snapshot build deadline expired on entry");
+  }
   std::shared_ptr<RelationshipSnapshot> snap(new RelationshipSnapshot(
       std::move(corpus), options.selector, options.version));
-  const qb::ObsId n = static_cast<qb::ObsId>(snap->num_observations());
-  RDFCUBE_RETURN_IF_ERROR(snap->Integrate(0, n, options.deadline));
-  snap->fingerprint_ = FingerprintObservations(snap->observations());
+  const qb::ObservationSet& observations = snap->observations();
+  const std::size_t n = observations.size();
+  for (qb::ObsId i = 0; i < n; ++i) {
+    RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(i));
+  }
+
+  Emissions emissions(observations.space().num_dimensions());
+  CubeMaskingOptions masking;
+  masking.selector = options.selector;
+  masking.selector.partial_dimension_map = false;  // rows keep no masks
+  masking.deadline = options.deadline;
+  RDFCUBE_RETURN_IF_ERROR(RunCubeMasking(observations, masking, &emissions));
+  {
+    obs::TraceSpan freeze("core/snapshot_freeze");
+    snap->full_ = Freeze(n, false, &emissions.full);
+    snap->partial_ = Freeze(n, true, &emissions.partial);
+    const Rows compl_upper = Freeze(n, false, &emissions.compl_upper);
+    DeriveRows(n, snap->full_, compl_upper, &snap->containers_,
+               &snap->compl_);
+  }
+  snap->fingerprint_ = FingerprintObservations(observations);
+  CountObservations(n);
   static obs::Counter& builds = obs::DefaultCounter(
       "rdfcube_core_snapshot_builds_total",
       "Relationship snapshots built from scratch");
@@ -117,12 +432,33 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::BuildIncremental(
   }
   std::shared_ptr<RelationshipSnapshot> snap(new RelationshipSnapshot(
       std::move(corpus), base.selector_, options.version));
-  // Copy-on-write: the base's materialized sets seed the new engine; only
-  // the appended observations pay kernel work.
-  RDFCUBE_RETURN_IF_ERROR(
-      snap->engine_.RestoreState(base.engine_.SerializeState()));
-  RDFCUBE_RETURN_IF_ERROR(snap->Integrate(base_n, new_n, options.deadline));
-  snap->fingerprint_ = FingerprintObservations(snap->observations());
+  const qb::ObservationSet& observations = snap->observations();
+
+  // The delta: every pair with at least one appended observation. Appended
+  // ids sort after every base id, so each base row only gains a tail.
+  Emissions delta(observations.space().num_dimensions());
+  for (qb::ObsId y = base_n; y < new_n; ++y) {
+    if (options.deadline.Expired()) {
+      return Status::TimedOut(
+          "snapshot refresh deadline expired at observation " +
+          std::to_string(y));
+    }
+    RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(y));
+    for (qb::ObsId x = 0; x < y; ++x) {
+      EvaluatePair(observations, snap->selector_, x, y, &delta);
+    }
+  }
+  const Rows delta_full = Freeze(new_n, false, &delta.full);
+  const Rows delta_partial = Freeze(new_n, true, &delta.partial);
+  const Rows delta_upper = Freeze(new_n, false, &delta.compl_upper);
+  Rows delta_containers, delta_compl;
+  DeriveRows(new_n, delta_full, delta_upper, &delta_containers, &delta_compl);
+  snap->full_ = ConcatRows(new_n, base.full_, delta_full);
+  snap->containers_ = ConcatRows(new_n, base.containers_, delta_containers);
+  snap->partial_ = ConcatRows(new_n, base.partial_, delta_partial);
+  snap->compl_ = ConcatRows(new_n, base.compl_, delta_compl);
+  snap->fingerprint_ = FingerprintObservations(observations);
+  CountObservations(new_n - base_n);
   static obs::Counter& refreshes = obs::DefaultCounter(
       "rdfcube_core_snapshot_refreshes_total",
       "Relationship snapshots built incrementally from a base snapshot");
@@ -130,34 +466,148 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::BuildIncremental(
   return Ptr(snap);
 }
 
+// Walks relationships after `after` in (kind, a, b) order, handing each to
+// `emit` until `limit` have gone; sets *more when another one follows.
+template <typename Emit>
+RDFCUBE_HOT Status RelationshipSnapshot::Walk(const ScanCursor& after,
+                                              std::size_t limit,
+                                              const Deadline& deadline,
+                                              Emit&& emit, bool* more) const {
+  *more = false;
+  if (deadline.Expired()) {
+    return Status::TimedOut("deadline expired before scan");
+  }
+  const std::size_t n = num_observations();
+  // Partial degrees by count, computed exactly as the kernel computes them.
+  const double dims =
+      static_cast<double>(observations().space().num_dimensions());
+  std::array<double, 256> degree_of{};
+  for (std::size_t c = 1; c < degree_of.size(); ++c) {
+    degree_of[c] = static_cast<double>(c) / dims;
+  }
+  struct Pass {
+    uint8_t kind;
+    const Rows* rows;
+  };
+  const Pass passes[] = {{'C', &compl_}, {'F', &full_}, {'P', &partial_}};
+  std::size_t emitted = 0;
+  std::size_t since_check = 0;
+  for (const Pass& pass : passes) {
+    if (pass.kind < after.kind) continue;
+    const bool resume = pass.kind == after.kind;
+    const Rows& rows = *pass.rows;
+    const qb::ObsId* ids = rows.ids.data();
+    for (std::size_t row = resume ? after.a : 0; row < n; ++row) {
+      const qb::ObsId* first = ids + rows.offsets[row];
+      const qb::ObsId* last = ids + rows.offsets[row + 1];
+      // Complement rows hold both directions; scans report a < b.
+      if (pass.kind == 'C') {
+        first = std::upper_bound(first, last, static_cast<qb::ObsId>(row));
+      }
+      if (resume && row == after.a) {
+        first = std::upper_bound(first, last, after.b);
+      }
+      for (const qb::ObsId* it = first; it != last; ++it) {
+        if (emitted == limit) {
+          *more = true;
+          return Status::OK();
+        }
+        if (++since_check == kDeadlineStride) {
+          since_check = 0;
+          if (deadline.Expired()) {
+            return Status::TimedOut("deadline expired mid-scan");
+          }
+        }
+        const double degree =
+            pass.kind == 'P' ? degree_of[rows.counts[it - ids]] : 0.0;
+        emit(pass.kind, static_cast<qb::ObsId>(row), *it, degree);
+        ++emitted;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+RDFCUBE_HOT Status RelationshipSnapshot::ScanPage(
+    const ScanCursor& after, std::size_t limit, const Deadline& deadline,
+    std::vector<ScanRecord>* out, bool* more) const {
+  const std::size_t total = num_full() + num_partial() + num_complementary();
+  out->reserve(out->size() + std::min(limit, total));
+  return Walk(
+      after, limit, deadline,
+      [out](uint8_t kind, qb::ObsId a, qb::ObsId b, double degree) {
+        out->push_back({kind, a, b, degree});
+      },
+      more);
+}
+
+RDFCUBE_HOT Status RelationshipSnapshot::ScanAll(
+    RelationshipSink* sink, const Deadline& deadline) const {
+  bool more = false;
+  return Walk(
+      ScanCursor{}, std::numeric_limits<std::size_t>::max(), deadline,
+      [sink](uint8_t kind, qb::ObsId a, qb::ObsId b, double degree) {
+        if (kind == 'C') {
+          sink->OnComplementarity(a, b);
+        } else if (kind == 'F') {
+          sink->OnFullContainment(a, b);
+        } else {
+          sink->OnPartialContainment(a, b, degree, 0);
+        }
+      },
+      &more);
+}
+
+namespace {
+
+// Copies row `id` of `rows`.
+RDFCUBE_HOT std::vector<qb::ObsId> CopyRow(const Rows& rows, qb::ObsId id) {
+  const qb::ObsId* ids = rows.ids.data();
+  return std::vector<qb::ObsId>(ids + rows.offsets[id],
+                                ids + rows.offsets[id + 1]);
+}
+
+}  // namespace
+
 RDFCUBE_HOT Result<std::vector<qb::ObsId>> RelationshipSnapshot::Containers(
     qb::ObsId id, const Deadline& deadline) const {
   RDFCUBE_RETURN_IF_ERROR(CheckPointQuery(id, num_observations(), deadline));
-  return engine_.Containers(id);
+  return CopyRow(containers_, id);
 }
 
 RDFCUBE_HOT Result<std::vector<qb::ObsId>> RelationshipSnapshot::Contained(
     qb::ObsId id, const Deadline& deadline) const {
   RDFCUBE_RETURN_IF_ERROR(CheckPointQuery(id, num_observations(), deadline));
-  return engine_.Contained(id);
+  return CopyRow(full_, id);
 }
 
 RDFCUBE_HOT Result<std::vector<qb::ObsId>> RelationshipSnapshot::Complements(
     qb::ObsId id, const Deadline& deadline) const {
   RDFCUBE_RETURN_IF_ERROR(CheckPointQuery(id, num_observations(), deadline));
-  return engine_.Complements(id);
+  return CopyRow(compl_, id);
 }
 
-RDFCUBE_HOT Result<std::vector<IncrementalEngine::PartialMatch>>
+RDFCUBE_HOT Result<std::vector<PartialMatch>>
 RelationshipSnapshot::PartiallyContained(qb::ObsId id, double min_degree,
                                          const Deadline& deadline) const {
   RDFCUBE_RETURN_IF_ERROR(CheckPointQuery(id, num_observations(), deadline));
-  return engine_.PartiallyContained(id, min_degree);
+  const double dims =
+      static_cast<double>(observations().space().num_dimensions());
+  const uint64_t begin = partial_.offsets[id];
+  const uint64_t end = partial_.offsets[id + 1];
+  std::vector<PartialMatch> out;
+  out.reserve(end - begin);
+  for (uint64_t pos = begin; pos < end; ++pos) {
+    const double degree = static_cast<double>(partial_.counts[pos]) / dims;
+    if (degree >= min_degree) out.push_back({partial_.ids[pos], degree});
+  }
+  return out;
 }
 
-RDFCUBE_HOT Status RelationshipSnapshot::ScanAll(RelationshipSink* sink,
-                                                 const Deadline& deadline) const {
-  return engine_.Export(sink, deadline);
+bool RelationshipSnapshot::SameRelationships(
+    const RelationshipSnapshot& other) const {
+  return full_ == other.full_ && containers_ == other.containers_ &&
+         partial_ == other.partial_ && compl_ == other.compl_;
 }
 
 Status RelationshipSnapshot::SaveTo(const std::string& path) const {
@@ -170,9 +620,9 @@ Status RelationshipSnapshot::SaveTo(const std::string& path) const {
                            qb::SerializeCorpus(corpus_));
   PutU64(&out, corpus_bytes.size());
   out += corpus_bytes;
-  const std::string state = engine_.SerializeState();
-  PutU64(&out, state.size());
-  out += state;
+  PutRows(&out, full_);
+  PutRows(&out, partial_);
+  PutRows(&out, UpperHalf(compl_, num_observations()));
   if (FaultTriggered(kFaultSnapshotSaveStage)) {
     // Model a crash mid-stage: a torn staging file appears beside the target
     // but the published path is never replaced (readers keep the old file).
@@ -205,33 +655,39 @@ RelationshipSnapshot::LoadFrom(const std::string& path) {
   if (!r.GetU32(&selector_bits)) return Corrupt("selector bits");
   if (selector_bits > 0xfu) return Corrupt("selector bits out of range");
   uint64_t len;
-  std::string corpus_bytes, state_bytes;
-  // Clamp each section length against the bytes actually present before
+  std::string corpus_bytes;
+  // Clamp the section length against the bytes actually present before
   // handing it to GetBytes: a forged 64-bit length must not be narrowed to
   // size_t (32-bit hosts) or charged against the allocator.
   if (!r.GetU64(&len) || len > r.Remaining() ||
       !r.GetBytes(static_cast<std::size_t>(len), &corpus_bytes)) {
     return Corrupt("corpus payload");
   }
-  if (!r.GetU64(&len) || len > r.Remaining() ||
-      !r.GetBytes(static_cast<std::size_t>(len), &state_bytes)) {
-    return Corrupt("engine state payload");
-  }
-  if (!r.AtEnd()) return Corrupt("trailing bytes");
-
   RDFCUBE_ASSIGN_OR_RETURN(qb::Corpus corpus,
                            qb::DeserializeCorpus(corpus_bytes));
   std::shared_ptr<RelationshipSnapshot> snap(new RelationshipSnapshot(
       std::move(corpus), SelectorFromBits(selector_bits), version));
-  Status restored = snap->engine_.RestoreState(state_bytes);
-  if (!restored.ok()) {
-    // Any restore failure over a freshly-built engine means the file is
-    // inconsistent with itself — surface it as corruption.
-    return Status::ParseError("corrupt snapshot: " + restored.message());
-  }
-  if (FingerprintObservations(snap->observations()) != fingerprint) {
+  const qb::ObservationSet& observations = snap->observations();
+  if (FingerprintObservations(observations) != fingerprint) {
     return Corrupt("corpus fingerprint mismatch");
   }
+  const std::size_t n = observations.size();
+  const std::size_t dims = observations.space().num_dimensions();
+  Rows compl_upper;
+  RDFCUBE_RETURN_IF_ERROR(
+      ReadRows(&r, n, StoredRows::kPairs, dims, &snap->full_));
+  RDFCUBE_RETURN_IF_ERROR(
+      ReadRows(&r, n, StoredRows::kCounted, dims, &snap->partial_));
+  RDFCUBE_RETURN_IF_ERROR(
+      ReadRows(&r, n, StoredRows::kUpperPairs, dims, &compl_upper));
+  if (!r.AtEnd()) return Corrupt("trailing bytes");
+  const RelationshipSelector& sel = snap->selector_;
+  if ((!sel.full_containment && !snap->full_.ids.empty()) ||
+      (!sel.partial_containment && !snap->partial_.ids.empty()) ||
+      (!sel.complementarity && !compl_upper.ids.empty())) {
+    return Corrupt("rows for a relationship type the selector excludes");
+  }
+  DeriveRows(n, snap->full_, compl_upper, &snap->containers_, &snap->compl_);
   snap->fingerprint_ = fingerprint;
   static obs::Counter& loads = obs::DefaultCounter(
       "rdfcube_core_snapshot_loads_total",

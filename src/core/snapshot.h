@@ -1,26 +1,28 @@
 // Immutable read-side relationship snapshot (DESIGN.md §6).
 //
-// A RelationshipSnapshot owns a corpus together with its fully materialized
-// S_F / S_P / S_C sets (an IncrementalEngine in its final state) and answers
-// point lookups and bulk scans without any kernel work. Snapshots are
-// immutable after Build(): a refreshed corpus produces a *new* snapshot
-// (copy-on-write via BuildIncremental, which restores the base engine's
-// state and integrates only the appended observations), and readers holding
-// the old shared_ptr keep a consistent view for as long as they need it.
-// This is the read side the relationship server publishes atomically.
+// A RelationshipSnapshot owns a corpus together with its S_F / S_P / S_C sets
+// frozen into sorted adjacency arrays, and answers point lookups and paged
+// scans without any kernel work: a lookup copies one row, a scan walks rows
+// in (kind, a, b) order and stops at its limit. Snapshots are immutable
+// after Build(): a refreshed corpus produces a *new* snapshot (copy-on-write
+// via BuildIncremental, which copies the base rows and appends only the
+// pairs that involve the appended observations), and readers holding the
+// old shared_ptr keep a consistent view for as long as they need it. This is
+// the read side the relationship server publishes atomically.
 
 #ifndef RDFCUBE_CORE_SNAPSHOT_H_
 #define RDFCUBE_CORE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
 #include "base/status.h"
 #include "base/stopwatch.h"
-#include "core/incremental.h"
 #include "core/relationship.h"
 #include "qb/corpus.h"
 #include "qb/observation_set.h"
@@ -28,9 +30,10 @@
 namespace rdfcube {
 namespace core {
 
-/// Injection point (util/fault.h) consulted once per observation integrated
-/// during Build/BuildIncremental: a triggered fault aborts the build with
-/// Internal, modelling a reload that crashes mid-construction.
+/// Injection point (util/fault.h) consulted once per observation a build
+/// covers (every observation in Build, the appended ones in
+/// BuildIncremental): a triggered fault aborts the build with Internal,
+/// modelling a reload that crashes mid-construction.
 inline constexpr char kFaultSnapshotBuild[] = "snapshot.build";
 
 /// Injection point consulted inside SaveTo before the atomic rename: a
@@ -38,11 +41,37 @@ inline constexpr char kFaultSnapshotBuild[] = "snapshot.build";
 /// IOError — the published path is never touched (crash-safe-swap test).
 inline constexpr char kFaultSnapshotSaveStage[] = "snapshot.save.stage";
 
-/// Magic + version written at the head of every snapshot file.
+/// Magic + format version written at the head of every snapshot file.
+/// Format 2 stores the frozen adjacency arrays; format-1 files (a serialized
+/// incremental engine) are rejected as corrupt.
 inline constexpr char kSnapshotMagic[8] = {'R', 'D', 'F', 'S',
-                                           'N', 'A', 'P', '1'};
+                                           'N', 'A', 'P', '2'};
 
-/// \brief Immutable corpus + materialized relationship sets, built once and
+/// \brief A position in scan order.
+///
+/// Scans return relationships in ascending (kind, a, b) order, kinds
+/// compared as bytes: 'C' complementarity, then 'F' full containment, then
+/// 'P' partial containment. A cursor is the key of the last relationship a
+/// reader holds; resuming returns every key strictly greater. Kind 0 sorts
+/// before every relationship ("from the start"). Keys need not exist in the
+/// snapshot, so a cursor stays meaningful across a reload.
+struct ScanCursor {
+  uint8_t kind = 0;
+  qb::ObsId a = 0;
+  qb::ObsId b = 0;
+};
+
+/// \brief One relationship as a scan returns it.
+struct ScanRecord {
+  /// 'F' full containment, 'P' partial, 'C' complementarity.
+  uint8_t kind = 0;
+  qb::ObsId a = 0;
+  qb::ObsId b = 0;
+  /// Degree for 'P' records, 0 otherwise.
+  double degree = 0.0;
+};
+
+/// \brief Immutable corpus + frozen relationship arrays, built once and
 /// then shared read-only (the unit of publication for the server).
 class RelationshipSnapshot {
  public:
@@ -53,27 +82,43 @@ class RelationshipSnapshot {
   struct BuildOptions {
     /// Which relationship types to materialize.
     RelationshipSelector selector = RelationshipSelector::All();
-    /// Cooperative build deadline, checked between observation
-    /// integrations; expiry fails the build with TimedOut.
+    /// Cooperative build deadline, checked on entry, per observation and
+    /// inside the masking kernel; expiry fails the build with TimedOut.
     Deadline deadline;
     /// Monotonic publication version stamped on the snapshot (the server's
     /// reload counter; echoed in every response for staleness checks).
     uint64_t version = 0;
   };
 
-  /// \brief Builds a snapshot from scratch: integrates every observation of
-  /// `corpus` into a fresh engine. Fails with InvalidArgument on an empty
-  /// corpus handle, TimedOut when the deadline expires mid-build, Internal
-  /// when kFaultSnapshotBuild fires.
+  /// \brief One relationship type frozen as CSR rows: row `r` lists its
+  /// partners in ids[offsets[r], offsets[r + 1]), strictly ascending.
+  struct Rows {
+    /// num_observations() + 1 entries; offsets[0] == 0, the last equals
+    /// ids.size().
+    std::vector<uint64_t> offsets;
+    std::vector<qb::ObsId> ids;
+    /// Partial containment only: per entry, the number of dimensions on
+    /// which the row contains the partner (degree = count / dimensions).
+    std::vector<uint8_t> counts;
+
+    bool operator==(const Rows& other) const = default;
+  };
+
+  /// \brief Builds a snapshot from scratch: one cubeMasking run whose
+  /// emissions are counting-sorted into the frozen rows. Fails with
+  /// InvalidArgument on an empty corpus handle, TimedOut when the deadline
+  /// expires (also when it already has on entry), Internal when
+  /// kFaultSnapshotBuild fires.
   static Result<Ptr> Build(qb::Corpus corpus, const BuildOptions& options);
 
   /// \brief Copy-on-write refresh: `corpus` must extend the base snapshot's
   /// corpus (same observations in [0, base.num_observations()), verified by
-  /// prefix fingerprint — FailedPrecondition otherwise). The base engine
-  /// state is restored over the new corpus and only the appended
-  /// observations are integrated, so refresh cost is O(delta), not O(n²).
-  /// The base snapshot is not modified. The selector is inherited from
-  /// `base`; `options.selector` is ignored.
+  /// prefix fingerprint — FailedPrecondition otherwise). The base rows are
+  /// copied and only the pairs involving an appended observation are
+  /// evaluated (with cubeMasking's pair kernel) and appended, so refresh
+  /// cost is O(delta × n) plus a copy, not O(n²). The base snapshot is not
+  /// modified. The selector is inherited from `base`; `options.selector` is
+  /// ignored.
   static Result<Ptr> BuildIncremental(const RelationshipSnapshot& base,
                                       qb::Corpus corpus,
                                       const BuildOptions& options);
@@ -96,14 +141,15 @@ class RelationshipSnapshot {
   /// Number of snapped observations (valid query ids are [0, this)).
   std::size_t num_observations() const { return corpus_.observations->size(); }
 
-  std::size_t num_full() const { return engine_.num_full(); }
-  std::size_t num_partial() const { return engine_.num_partial(); }
-  std::size_t num_complementary() const { return engine_.num_complementary(); }
+  std::size_t num_full() const { return full_.ids.size(); }
+  std::size_t num_partial() const { return partial_.ids.size(); }
+  /// Unordered complementary pairs (each is stored in both rows).
+  std::size_t num_complementary() const { return compl_.ids.size() / 2; }
 
-  // Point lookups. Each is O(partners of id) hash probes over the
-  // materialized sets; ids are sorted ascending. NotFound when `id` is not a
-  // snapped observation, TimedOut when `deadline` already expired on entry
-  // (the probe itself is too cheap to interrupt).
+  // Point lookups. Each copies one frozen row (O(partners of id)); ids are
+  // ascending. NotFound when `id` is not a snapped observation, TimedOut
+  // when `deadline` already expired on entry (the copy itself is too cheap
+  // to interrupt).
 
   /// Observations that fully contain `id`.
   Result<std::vector<qb::ObsId>> Containers(qb::ObsId id,
@@ -118,42 +164,60 @@ class RelationshipSnapshot {
                                              const Deadline& deadline) const;
 
   /// Observations partially contained by `id` with degree >= `min_degree`.
-  Result<std::vector<IncrementalEngine::PartialMatch>> PartiallyContained(
+  Result<std::vector<PartialMatch>> PartiallyContained(
       qb::ObsId id, double min_degree, const Deadline& deadline) const;
 
-  /// Streams every materialized relationship into `sink`, checking
-  /// `deadline` cooperatively (TimedOut mid-scan leaves the sink holding a
-  /// prefix).
+  /// Appends to `out` the first `limit` relationships after `after` in scan
+  /// order (fewer at the end) and sets `*more` when at least one further
+  /// relationship follows the last one appended. The walk stops at the
+  /// limit. TimedOut when `deadline` expires (checked on entry and every
+  /// few thousand records; `out` then holds a prefix of the page).
+  [[nodiscard]] Status ScanPage(const ScanCursor& after, std::size_t limit,
+                                const Deadline& deadline,
+                                std::vector<ScanRecord>* out,
+                                bool* more) const;
+
+  /// Streams every relationship into `sink` in scan order: ScanPage's walk
+  /// from the start with no limit. TimedOut as for ScanPage (the sink then
+  /// holds a prefix).
   [[nodiscard]] Status ScanAll(RelationshipSink* sink,
                                const Deadline& deadline) const;
+
+  /// True when `other` holds bit-identical frozen rows for every
+  /// relationship type, in both directions.
+  bool SameRelationships(const RelationshipSnapshot& other) const;
 
   /// Atomically persists the snapshot (staged write + rename, reusing
   /// AtomicWriteFile): a crash mid-save can never tear the published file.
   /// IOError on filesystem failure or when kFaultSnapshotSaveStage fires.
   [[nodiscard]] Status SaveTo(const std::string& path) const;
 
-  /// Loads a snapshot written by SaveTo. IOError when unreadable,
-  /// ParseError on corruption (bad magic, truncation, or a corpus whose
-  /// fingerprint does not match the recorded one).
+  /// Loads a snapshot written by SaveTo: a validated copy of the stored
+  /// rows, with the derived rows rebuilt by Build's own freeze. IOError
+  /// when unreadable, ParseError on corruption (bad magic or format
+  /// version, truncation, out-of-range lengths, rows that are not strictly
+  /// ascending or name an id outside the corpus, degrees outside (0, 1),
+  /// or a corpus whose fingerprint does not match the recorded one).
   static Result<Ptr> LoadFrom(const std::string& path);
 
  private:
   RelationshipSnapshot(qb::Corpus corpus, const RelationshipSelector& selector,
                        uint64_t version)
-      : corpus_(std::move(corpus)),
-        selector_(selector),
-        engine_(corpus_.observations.get(), selector) {
-    version_ = version;
-  }
+      : corpus_(std::move(corpus)), selector_(selector), version_(version) {}
 
-  // Integrates observations [first, limit) under the deadline/fault rules.
-  Status Integrate(qb::ObsId first, qb::ObsId limit, const Deadline& deadline);
+  // The one scan walk behind ScanPage and ScanAll.
+  template <typename Emit>
+  Status Walk(const ScanCursor& after, std::size_t limit,
+              const Deadline& deadline, Emit&& emit, bool* more) const;
 
   qb::Corpus corpus_;
   RelationshipSelector selector_;
-  IncrementalEngine engine_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
+  Rows full_;        // a -> b: a fully contains b (scans, Contained)
+  Rows containers_;  // b -> a: the transpose of full_ (Containers)
+  Rows partial_;     // a -> b with counts (scans, PartiallyContained)
+  Rows compl_;       // both directions (Complements; scans take a < b)
 };
 
 }  // namespace core

@@ -161,12 +161,18 @@ Result<std::vector<std::pair<qb::ObsId, double>>> Client::Partial(
 }
 
 Result<std::vector<ScanRecord>> Client::Scan(uint32_t limit) {
+  RDFCUBE_ASSIGN_OR_RETURN(Response resp, ScanPage(ScanCursor{}, limit));
+  return std::move(resp.records);
+}
+
+Result<Response> Client::ScanPage(const ScanCursor& after, uint32_t limit) {
   Request req;
   req.op = Op::kScan;
   req.limit = limit;
+  req.cursor = after;
   RDFCUBE_ASSIGN_OR_RETURN(Response resp, Call(req));
   RDFCUBE_RETURN_IF_ERROR(CodeToStatus(resp));
-  return std::move(resp.records);
+  return resp;
 }
 
 Result<std::vector<uint64_t>> Client::Stats() {

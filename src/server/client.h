@@ -71,8 +71,17 @@ class Client {
   [[nodiscard]] Result<std::vector<std::pair<qb::ObsId, double>>> Partial(
       qb::ObsId id, double min_degree);
 
-  /// Bulk scan (up to `limit` records, 0 = server cap).
+  /// First page of the bulk scan (up to `limit` records, 0 = as many as
+  /// the server's frame holds).
   [[nodiscard]] Result<std::vector<ScanRecord>> Scan(uint32_t limit);
+
+  /// One page of the bulk scan: up to `limit` records (0 = as many as the
+  /// server's frame holds) after `after`. The response carries the records,
+  /// the cursor to resume from, whether more follow, and the snapshot
+  /// version (a change between pages means a reload happened; the cursor
+  /// stays valid across it).
+  [[nodiscard]] Result<Response> ScanPage(const ScanCursor& after,
+                                          uint32_t limit);
 
   /// Server stats vector (StatsField order).
   [[nodiscard]] Result<std::vector<uint64_t>> Stats();

@@ -21,6 +21,22 @@ Status Malformed(const char* what) {
   return Status::ParseError(std::string("malformed frame: ") + what);
 }
 
+void PutCursor(std::string* out, const ScanCursor& cursor) {
+  PutU8(out, cursor.kind);
+  PutU32(out, cursor.a);
+  PutU32(out, cursor.b);
+}
+
+// A cursor is a record key ('C', 'F' or 'P') or the all-zero start.
+bool GetCursor(ByteReader* r, ScanCursor* cursor) {
+  if (!r->GetU8(&cursor->kind) || !r->GetU32(&cursor->a) ||
+      !r->GetU32(&cursor->b)) {
+    return false;
+  }
+  if (cursor->kind == 0) return cursor->a == 0 && cursor->b == 0;
+  return cursor->kind == 'C' || cursor->kind == 'F' || cursor->kind == 'P';
+}
+
 }  // namespace
 
 const char* OpName(Op op) {
@@ -39,6 +55,11 @@ const char* OpName(Op op) {
   return "unknown";
 }
 
+uint32_t ScanRecordsPerFrame(uint32_t max_frame_bytes) {
+  if (max_frame_bytes <= kResponseHeaderBytes + kScanRecordBytes) return 1;
+  return (max_frame_bytes - kResponseHeaderBytes) / kScanRecordBytes;
+}
+
 std::string EncodeRequest(const Request& req) {
   std::string out;
   PutU8(&out, kProtocolVersion);
@@ -47,6 +68,7 @@ std::string EncodeRequest(const Request& req) {
   PutU32(&out, req.deadline_ms);
   PutDouble(&out, req.min_degree);
   PutU32(&out, req.limit);
+  PutCursor(&out, req.cursor);
   PutU64(&out, req.request_id);
   return out;
 }
@@ -71,6 +93,7 @@ RDFCUBE_TAINT_SOURCE Result<Request> DecodeRequest(const std::string& payload) {
     return Malformed("min degree out of range");
   }
   if (!r.GetU32(&req.limit)) return Malformed("missing limit");
+  if (!GetCursor(&r, &req.cursor)) return Malformed("bad scan cursor");
   if (!r.GetU64(&req.request_id)) return Malformed("missing request id");
   if (!r.AtEnd()) return Malformed("trailing bytes");
   return req;
@@ -95,6 +118,8 @@ std::string EncodeResponse(const Response& resp) {
     PutU32(&out, rec.b);
     PutDouble(&out, rec.degree);
   }
+  PutCursor(&out, resp.cursor);
+  PutU8(&out, resp.more ? 1 : 0);
   PutU32(&out, static_cast<uint32_t>(resp.stats.size()));
   for (uint64_t s : resp.stats) PutU64(&out, s);
   PutU32(&out, static_cast<uint32_t>(resp.text.size()));
@@ -140,7 +165,9 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
     resp.degrees.push_back(d);
   }
   if (!r.GetU32(&count)) return Malformed("missing record count");
-  if (count > r.Remaining() / 17) return Malformed("record count out of range");
+  if (count > r.Remaining() / kScanRecordBytes) {
+    return Malformed("record count out of range");
+  }
   resp.records.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ScanRecord rec;
@@ -154,6 +181,10 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
     if (std::isnan(rec.degree)) return Malformed("record degree is NaN");
     resp.records.push_back(rec);
   }
+  if (!GetCursor(&r, &resp.cursor)) return Malformed("bad scan cursor");
+  uint8_t more;
+  if (!r.GetU8(&more) || more > 1) return Malformed("bad more flag");
+  resp.more = more == 1;
   if (!r.GetU32(&count)) return Malformed("missing stats count");
   if (count > r.Remaining() / 8) return Malformed("stats count out of range");
   resp.stats.reserve(count);

@@ -6,7 +6,8 @@
 // payload encodings below reuse the core/snapshot_io wire idiom (fixed-width
 // little-endian integers, length-prefixed vectors, bounds-checked reads).
 // Decoders must survive arbitrary bytes: every failure is a ParseError, never
-// a crash (fuzzed in tests/server_test.cc).
+// a crash (fuzzed in tests/server_test.cc). Version 2 added the kScan resume
+// cursor; frames of any other version are rejected.
 
 #ifndef RDFCUBE_SERVER_PROTOCOL_H_
 #define RDFCUBE_SERVER_PROTOCOL_H_
@@ -17,13 +18,14 @@
 
 #include "base/result.h"
 #include "base/status.h"
+#include "core/snapshot.h"
 #include "qb/observation_set.h"
 
 namespace rdfcube {
 namespace server {
 
 /// Protocol version stamped as the first payload byte of every message.
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 
 /// Hard ceiling on a frame payload; a length prefix above the configured
 /// limit (default this) is a protocol error, not an allocation.
@@ -41,7 +43,8 @@ enum class Op : uint8_t {
   kComplements = 4,
   /// Observations partially contained by `target` (degree >= min_degree).
   kPartial = 5,
-  /// Bulk scan of every materialized relationship.
+  /// One page of the bulk scan over every materialized relationship, in
+  /// (kind, a, b) order, resuming after `Request::cursor`.
   kScan = 6,
   /// Server statistics (snapshot sizes, admission counters).
   kStats = 7,
@@ -78,6 +81,12 @@ enum class RespCode : uint8_t {
   kInternal = 6,
 };
 
+/// Scan records travel as the snapshot returns them.
+using ScanRecord = core::ScanRecord;
+
+/// A kScan resume position (the key of the last record a client holds).
+using ScanCursor = core::ScanCursor;
+
 /// \brief One client request.
 struct Request {
   Op op = Op::kPing;
@@ -91,19 +100,12 @@ struct Request {
   /// Cap on returned records for kScan; capture window in milliseconds for
   /// kTraceDump (0 = server default in both cases).
   uint32_t limit = 0;
+  /// kScan only: return records strictly after this key. The default (kind
+  /// 0) starts from the first record.
+  ScanCursor cursor;
   /// Client-chosen correlation id, echoed back in Response::request_id and
   /// recorded in the slowlog. 0 means "unassigned" (the client fills it in).
   uint64_t request_id = 0;
-};
-
-/// \brief One relationship record of a kScan response.
-struct ScanRecord {
-  /// 'F' full containment, 'P' partial, 'C' complementarity.
-  uint8_t kind = 0;
-  qb::ObsId a = 0;
-  qb::ObsId b = 0;
-  /// Degree for 'P' records, 0 otherwise.
-  double degree = 0.0;
 };
 
 /// \brief One server response.
@@ -122,6 +124,11 @@ struct Response {
   std::vector<double> degrees;
   /// kScan results.
   std::vector<ScanRecord> records;
+  /// kScan: where the next page resumes (the last record's key, or the
+  /// request's cursor when the page is empty).
+  ScanCursor cursor;
+  /// kScan: true when records follow `cursor`; false on the final page.
+  bool more = false;
   /// kStats / kPing payload: counter values keyed by StatsFields order.
   std::vector<uint64_t> stats;
   /// Text payload of the observability ops: Prometheus exposition for
@@ -145,6 +152,18 @@ enum StatsField : std::size_t {
   kStatsReloadFailures = 8,
   kStatsNumFields = 9,
 };
+
+/// Encoded size of one ScanRecord: kind u8, a u32, b u32, degree f64.
+inline constexpr uint32_t kScanRecordBytes = 17;
+
+/// Encoded size of a Response whose variable-length fields are all empty:
+/// what a kScan page costs besides its records.
+inline constexpr uint32_t kResponseHeaderBytes =
+    1 + 1 + 4 + 8 + 4 + 4 + 4 + 4 + 9 + 1 + 4 + 4 + 8;
+
+/// Records of one kScan page whose response fits a `max_frame_bytes`
+/// payload (at least 1, so a scan always makes progress).
+uint32_t ScanRecordsPerFrame(uint32_t max_frame_bytes);
 
 /// Serializes `req` into a frame payload (version byte included, length
 /// prefix excluded — WriteFrame adds it).

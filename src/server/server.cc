@@ -25,40 +25,6 @@ namespace server {
 
 namespace {
 
-// Collects scan records up to a cap (the overflow is dropped, not an
-// error: bulk consumers page via repeated scans in practice).
-class ScanSink : public core::RelationshipSink {
- public:
-  ScanSink(std::vector<ScanRecord>* out, std::size_t cap)
-      : out_(out), cap_(cap) {}
-
-  void OnFullContainment(core::ObsId a, core::ObsId b) override {
-    Add({'F', a, b, 0.0});
-  }
-  void OnPartialContainment(core::ObsId a, core::ObsId b, double degree,
-                            uint64_t /*dim_mask*/) override {
-    Add({'P', a, b, degree});
-  }
-  void OnComplementarity(core::ObsId a, core::ObsId b) override {
-    Add({'C', a, b, 0.0});
-  }
-
-  bool truncated() const { return truncated_; }
-
- private:
-  void Add(const ScanRecord& rec) {
-    if (out_->size() >= cap_) {
-      truncated_ = true;
-      return;
-    }
-    out_->push_back(rec);
-  }
-
-  std::vector<ScanRecord>* out_;
-  std::size_t cap_;
-  bool truncated_ = false;
-};
-
 // Per-op RED instruments, indexed by wire op - 1. Names and help strings
 // live in this table (not at the registration call) so the set stays
 // greppable in one place; all follow rdfcube_server_<op>_<what>_<unit>.
@@ -495,7 +461,7 @@ RDFCUBE_HOT Response Server::Evaluate(const Request& req,
       break;
     }
     case Op::kPartial: {
-      Result<std::vector<core::IncrementalEngine::PartialMatch>> matches =
+      Result<std::vector<core::PartialMatch>> matches =
           snap->PartiallyContained(req.target, req.min_degree, deadline);
       if (!matches.ok()) {
         fail(matches.status());
@@ -510,18 +476,25 @@ RDFCUBE_HOT Response Server::Evaluate(const Request& req,
       break;
     }
     case Op::kScan: {
-      const uint32_t cap =
-          req.limit == 0
-              ? options_.max_scan_records
-              : std::min(req.limit, options_.max_scan_records);
-      ScanSink sink(&resp.records, cap);
-      const Status st = snap->ScanAll(&sink, deadline);
+      // A page holds no more records than its response frame can carry.
+      uint32_t cap = std::min(options_.max_scan_records,
+                              ScanRecordsPerFrame(options_.max_frame_bytes));
+      if (req.limit != 0) cap = std::min(cap, req.limit);
+      bool more = false;
+      const Status st =
+          snap->ScanPage(req.cursor, cap, deadline, &resp.records, &more);
       if (!st.ok()) {
         resp.records.clear();
         fail(st);
         break;
       }
-      if (sink.truncated()) resp.error = "truncated to limit";
+      resp.more = more;
+      if (resp.records.empty()) {
+        resp.cursor = req.cursor;
+      } else {
+        const ScanRecord& last = resp.records.back();
+        resp.cursor = {last.kind, last.a, last.b};
+      }
       break;
     }
     case Op::kStats:

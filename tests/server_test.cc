@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/explorer.h"
 #include "core/relationship.h"
 #include "core/snapshot.h"
@@ -102,6 +103,7 @@ TEST(ProtocolTest, RequestRoundTripsEveryOp) {
     req.deadline_ms = 1500;
     req.min_degree = 0.625;
     req.limit = 77;
+    req.cursor = {'P', 0xfffffffeu, 12};
     req.request_id = 0x0123456789abcdefull;
     auto back = DecodeRequest(EncodeRequest(req));
     ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -110,6 +112,9 @@ TEST(ProtocolTest, RequestRoundTripsEveryOp) {
     EXPECT_EQ(back->deadline_ms, req.deadline_ms);
     EXPECT_EQ(back->min_degree, req.min_degree);
     EXPECT_EQ(back->limit, req.limit);
+    EXPECT_EQ(back->cursor.kind, req.cursor.kind);
+    EXPECT_EQ(back->cursor.a, req.cursor.a);
+    EXPECT_EQ(back->cursor.b, req.cursor.b);
     EXPECT_EQ(back->request_id, req.request_id);
   }
 }
@@ -123,6 +128,8 @@ TEST(ProtocolTest, ResponseRoundTripsEveryField) {
   resp.ids = {3, 1, 0xffffffffu};
   resp.degrees = {0.0, 0.5, 1.0};
   resp.records = {{'F', 1, 2, 0.0}, {'P', 3, 4, 0.75}, {'C', 5, 6, 0.0}};
+  resp.cursor = {'C', 5, 6};
+  resp.more = true;
   resp.stats = std::vector<uint64_t>(kStatsNumFields, 42);
   resp.text = "# HELP x\nnot ascii: \x02\xfe";
   resp.request_id = 0xfeedface01020304ull;
@@ -143,15 +150,79 @@ TEST(ProtocolTest, ResponseRoundTripsEveryField) {
     EXPECT_EQ(back->records[i].b, resp.records[i].b);
     EXPECT_EQ(back->records[i].degree, resp.records[i].degree);
   }
+  EXPECT_EQ(back->cursor.kind, resp.cursor.kind);
+  EXPECT_EQ(back->cursor.a, resp.cursor.a);
+  EXPECT_EQ(back->cursor.b, resp.cursor.b);
+  EXPECT_TRUE(back->more);
   EXPECT_EQ(back->stats, resp.stats);
 }
 
 TEST(ProtocolTest, EmptyResponseRoundTrips) {
-  auto back = DecodeResponse(EncodeResponse(Response{}));
+  const std::string bytes = EncodeResponse(Response{});
+  // The fixed header a scan page pays besides its records (the frame-fit
+  // page cap is derived from it).
+  EXPECT_EQ(bytes.size(), kResponseHeaderBytes);
+  auto back = DecodeResponse(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->code, RespCode::kOk);
   EXPECT_TRUE(back->ids.empty());
   EXPECT_TRUE(back->records.empty());
+  EXPECT_EQ(back->cursor.kind, 0);
+  EXPECT_FALSE(back->more);
+}
+
+TEST(ProtocolTest, ScanRecordsPerFrameFitsTheFrame) {
+  for (uint32_t frame : {64u, 200u, 4096u, kDefaultMaxFrameBytes}) {
+    const uint32_t fit = ScanRecordsPerFrame(frame);
+    Response page;
+    page.records.assign(fit, ScanRecord{'P', 1, 2, 0.5});
+    page.cursor = {'P', 1, 2};
+    if (frame > kResponseHeaderBytes + kScanRecordBytes) {
+      EXPECT_LE(EncodeResponse(page).size(), frame) << frame;
+      page.records.push_back(page.records.back());
+      EXPECT_GT(EncodeResponse(page).size(), frame) << frame;
+    } else {
+      EXPECT_EQ(fit, 1u) << "a page always makes progress";
+    }
+  }
+}
+
+TEST(ProtocolTest, VersionOneFramesAreRejected) {
+  EXPECT_EQ(kProtocolVersion, 2);
+  Request req;
+  req.op = Op::kScan;
+  std::string bytes = EncodeRequest(req);
+  bytes[0] = 1;
+  EXPECT_TRUE(DecodeRequest(bytes).status().IsParseError());
+  std::string rbytes = EncodeResponse(Response{});
+  rbytes[0] = 1;
+  EXPECT_TRUE(DecodeResponse(rbytes).status().IsParseError());
+}
+
+TEST(ProtocolTest, RejectsMalformedCursors) {
+  Request req;
+  req.op = Op::kScan;
+  for (uint8_t kind : {uint8_t{1}, uint8_t{'A'}, uint8_t{'D'}, uint8_t{'f'},
+                       uint8_t{'Z'}, uint8_t{0xff}}) {
+    req.cursor = {kind, 0, 0};
+    EXPECT_TRUE(DecodeRequest(EncodeRequest(req)).status().IsParseError())
+        << "kind " << int{kind};
+  }
+  // The start cursor has no position.
+  req.cursor = {0, 3, 0};
+  EXPECT_TRUE(DecodeRequest(EncodeRequest(req)).status().IsParseError());
+  // Any id is a valid key, including ids past every snapshot.
+  req.cursor = {'C', 0xffffffffu, 0xffffffffu};
+  EXPECT_TRUE(DecodeRequest(EncodeRequest(req)).ok());
+
+  Response resp;
+  resp.cursor = {'X', 1, 2};
+  EXPECT_TRUE(DecodeResponse(EncodeResponse(resp)).status().IsParseError());
+  resp.cursor = {'F', 1, 2};
+  std::string bytes = EncodeResponse(resp);
+  // The more flag precedes the stats count, text length and request id.
+  bytes[kResponseHeaderBytes - 1 - 4 - 4 - 8] = 2;
+  EXPECT_TRUE(DecodeResponse(bytes).status().IsParseError());
 }
 
 // --- Protocol: malformed frames ----------------------------------------------
@@ -242,25 +313,95 @@ TEST(ProtocolTest, RandomBytesNeverCrashDecoders) {
   }
 }
 
+bool KeyAfter(const ScanRecord& rec, const ScanCursor& cursor) {
+  return std::tie(rec.kind, rec.a, rec.b) >
+         std::tie(cursor.kind, cursor.a, cursor.b);
+}
+
 TEST(ProtocolTest, MutatedValidFramesNeverCrashDecoders) {
   Response resp;
   resp.ids = {1, 2, 3};
   resp.degrees = {0.25, 0.5};
   resp.records = {{'F', 1, 2, 0.0}, {'C', 2, 3, 0.0}};
+  resp.cursor = {'C', 2, 3};
+  resp.more = true;
   resp.stats = {7, 8, 9};
   resp.error = "detail";
   const std::string valid = EncodeResponse(resp);
+  Request req;
+  req.op = Op::kScan;
+  req.limit = 7;
+  req.cursor = {'P', 3, 4};
+  const std::string valid_req = EncodeRequest(req);
+  // Where the cursors sit: a request's follows its limit; a response's is
+  // followed by the more flag, the stats, the text and the request id.
+  constexpr std::size_t kReqCursorAt = 1 + 1 + 4 + 4 + 8 + 4;
+  const std::size_t resp_cursor_at =
+      valid.size() - (9 + 1 + 4 + 8 * resp.stats.size() + 4 + 8);
+  auto snap = MustBuild(MakeRunningExample());
+  const auto n = static_cast<uint32_t>(snap->num_observations());
   Rng rng(0xbeef);
   for (int iter = 0; iter < 2000; ++iter) {
     std::string bytes = valid;
-    const std::size_t flips = 1 + rng.Uniform(4);
-    for (std::size_t f = 0; f < flips; ++f) {
-      bytes[rng.Uniform(bytes.size())] ^=
-          static_cast<char>(1 + rng.Uniform(255));
+    std::string req_bytes = valid_req;
+    switch (iter % 4) {
+      case 0: {  // random byte flips anywhere
+        const std::size_t flips = 1 + rng.Uniform(4);
+        for (std::size_t f = 0; f < flips; ++f) {
+          bytes[rng.Uniform(bytes.size())] ^=
+              static_cast<char>(1 + rng.Uniform(255));
+          req_bytes[rng.Uniform(req_bytes.size())] ^=
+              static_cast<char>(1 + rng.Uniform(255));
+        }
+        break;
+      }
+      case 1: {  // a cursor kind outside F/P/C
+        uint8_t kind = 0;
+        while (kind == 0 || kind == 'C' || kind == 'F' || kind == 'P') {
+          kind = static_cast<uint8_t>(rng.Uniform(256));
+        }
+        bytes[resp_cursor_at] = static_cast<char>(kind);
+        req_bytes[kReqCursorAt] = static_cast<char>(kind);
+        EXPECT_TRUE(DecodeResponse(bytes).status().IsParseError());
+        EXPECT_TRUE(DecodeRequest(req_bytes).status().IsParseError());
+        break;
+      }
+      case 2: {  // cursor ids past n: valid keys that resume past them
+        req_bytes[kReqCursorAt] = "CFP"[rng.Uniform(3)];
+        for (std::size_t at : {kReqCursorAt + 1, kReqCursorAt + 5}) {
+          const uint32_t id = n + static_cast<uint32_t>(rng.Uniform(1u << 20));
+          for (int i = 0; i < 4; ++i) {
+            req_bytes[at + i] = static_cast<char>(id >> (8 * i));
+          }
+        }
+        auto decoded = DecodeRequest(req_bytes);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        std::vector<ScanRecord> page;
+        bool more = false;
+        ASSERT_TRUE(
+            snap->ScanPage(decoded->cursor, 100, Deadline(), &page, &more)
+                .ok());
+        for (const ScanRecord& rec : page) {
+          EXPECT_TRUE(KeyAfter(rec, decoded->cursor));
+        }
+        break;
+      }
+      default: {  // a cursor cut short
+        const std::size_t keep = 1 + rng.Uniform(8);
+        bytes.resize(resp_cursor_at + keep);
+        req_bytes.resize(kReqCursorAt + keep);
+        EXPECT_TRUE(DecodeResponse(bytes).status().IsParseError());
+        EXPECT_TRUE(DecodeRequest(req_bytes).status().IsParseError());
+        break;
+      }
     }
     auto r = DecodeResponse(bytes);
     if (!r.ok()) {
       EXPECT_TRUE(r.status().IsParseError()) << r.status().ToString();
+    }
+    auto q = DecodeRequest(req_bytes);
+    if (!q.ok()) {
+      EXPECT_TRUE(q.status().IsParseError()) << q.status().ToString();
     }
   }
 }
@@ -498,6 +639,181 @@ TEST(SnapshotTest, ScanAllMatchesCounts) {
   EXPECT_EQ(sink.complementary().size(), snap->num_complementary());
 }
 
+// --- RelationshipSnapshot: frozen rows and paged scans ----------------------
+
+// A relationship as the scan orders it, with its degree quantized.
+using RelKey = std::tuple<uint8_t, ObsId, ObsId, int>;
+
+int Quantize(double degree) { return static_cast<int>(degree * 1000 + 0.5); }
+
+std::vector<RelKey> KeysOf(const std::vector<ScanRecord>& records) {
+  std::vector<RelKey> keys;
+  for (const ScanRecord& r : records) {
+    keys.emplace_back(r.kind, r.a, r.b, Quantize(r.degree));
+  }
+  return keys;
+}
+
+// Method::kBaseline's relationships (the brute-force oracle), in scan order.
+std::vector<RelKey> BaselineKeys(const qb::ObservationSet& obs) {
+  core::CollectingSink sink;
+  core::EngineOptions options;
+  options.method = core::Method::kBaseline;
+  EXPECT_TRUE(core::ComputeRelationships(obs, options, &sink).ok());
+  std::vector<RelKey> keys;
+  for (const auto& [a, b] : sink.full()) keys.emplace_back('F', a, b, 0);
+  for (const auto& p : sink.partial()) {
+    keys.emplace_back('P', p.a, p.b, Quantize(p.degree));
+  }
+  for (const auto& [a, b] : sink.complementary()) {
+    keys.emplace_back('C', a, b, 0);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+// Follows the cursor through `snap`, `page` records at a time. Every page
+// but the last is full and says more follow.
+std::vector<ScanRecord> PageThrough(const RelationshipSnapshot& snap,
+                                    std::size_t page) {
+  std::vector<ScanRecord> all;
+  ScanCursor cursor;
+  for (;;) {
+    std::vector<ScanRecord> records;
+    bool more = false;
+    EXPECT_TRUE(snap.ScanPage(cursor, page, Deadline(), &records, &more).ok());
+    EXPECT_LE(records.size(), page);
+    if (more) {
+      EXPECT_EQ(records.size(), page);
+    }
+    all.insert(all.end(), records.begin(), records.end());
+    if (!more) return all;
+    cursor = {records.back().kind, records.back().a, records.back().b};
+  }
+}
+
+// Streams ScanAll into records, in the order the walk hands them out.
+class RecordSink : public core::RelationshipSink {
+ public:
+  void OnFullContainment(ObsId a, ObsId b) override {
+    records.push_back({'F', a, b, 0.0});
+  }
+  void OnPartialContainment(ObsId a, ObsId b, double degree,
+                            uint64_t) override {
+    records.push_back({'P', a, b, degree});
+  }
+  void OnComplementarity(ObsId a, ObsId b) override {
+    records.push_back({'C', a, b, 0.0});
+  }
+  std::vector<ScanRecord> records;
+};
+
+// Corpus shapes MakeRandomCorpus never produces: two dimensions
+// (World > Europe > Greece, Total > Male), one measure, one dataset.
+enum class Shape { kEmpty, kSingle, kAllRoot, kDuplicates };
+
+qb::Corpus MakeShapeCorpus(Shape shape) {
+  qb::CorpusBuilder b;
+  EXPECT_TRUE(b.AddDimension("ex:area", "World").ok());
+  EXPECT_TRUE(b.AddCode("ex:area", "Europe", "World").ok());
+  EXPECT_TRUE(b.AddCode("ex:area", "Greece", "Europe").ok());
+  EXPECT_TRUE(b.AddDimension("ex:sex", "Total").ok());
+  EXPECT_TRUE(b.AddCode("ex:sex", "Male", "Total").ok());
+  EXPECT_TRUE(b.AddMeasure("ex:m").ok());
+  EXPECT_TRUE(b.AddDataset("D", {"ex:area", "ex:sex"}, {"ex:m"}).ok());
+  std::vector<std::pair<std::string, std::string>> coords;
+  switch (shape) {
+    case Shape::kEmpty:
+      break;
+    case Shape::kSingle:
+      coords = {{"Greece", "Male"}};
+      break;
+    case Shape::kAllRoot:
+      coords.assign(5, {"World", "Total"});
+      break;
+    case Shape::kDuplicates:
+      coords = {{"Greece", "Male"},  {"Europe", "Total"}, {"Greece", "Male"},
+                {"World", "Male"},   {"Europe", "Total"}, {"Greece", "Male"},
+                {"Greece", "Total"}};
+      break;
+  }
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    EXPECT_TRUE(b.AddObservation("D", "o" + std::to_string(i),
+                                 {{"ex:area", coords[i].first},
+                                  {"ex:sex", coords[i].second}},
+                                 {{"ex:m", 1.0}})
+                    .ok());
+  }
+  auto corpus = std::move(b).Build();
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  return std::move(corpus).value();
+}
+
+TEST(SnapshotPagingTest, PagesConcatenateToTheBaselineSetInScanOrder) {
+  std::vector<qb::Corpus> corpora;
+  for (uint64_t seed : {3, 17, 29}) corpora.push_back(MakeRandomCorpus(seed));
+  corpora.push_back(MakeRandomCorpus(5, 40, /*num_dims=*/1));
+  for (Shape shape : {Shape::kEmpty, Shape::kSingle, Shape::kAllRoot,
+                      Shape::kDuplicates}) {
+    corpora.push_back(MakeShapeCorpus(shape));
+  }
+  for (std::size_t c = 0; c < corpora.size(); ++c) {
+    const std::vector<RelKey> want = BaselineKeys(*corpora[c].observations);
+    auto snap = MustBuild(std::move(corpora[c]));
+    for (std::size_t page : {std::size_t{1}, std::size_t{7}, std::size_t{2000},
+                             std::size_t{ScanRecordsPerFrame(
+                                 kDefaultMaxFrameBytes)}}) {
+      const std::vector<ScanRecord> records = PageThrough(*snap, page);
+      const std::vector<RelKey> keys = KeysOf(records);
+      for (std::size_t i = 1; i < records.size(); ++i) {
+        ASSERT_TRUE(KeyAfter(records[i], {records[i - 1].kind,
+                                          records[i - 1].a, records[i - 1].b}))
+            << "corpus " << c << " page " << page << " record " << i;
+      }
+      EXPECT_EQ(keys, want) << "corpus " << c << " page " << page;
+    }
+    // ScanAll is the same walk without a limit.
+    RecordSink sink;
+    ASSERT_TRUE(snap->ScanAll(&sink, Deadline()).ok());
+    EXPECT_EQ(KeysOf(sink.records), want) << "corpus " << c;
+  }
+}
+
+TEST(SnapshotPagingTest, CursorResumesStrictlyAfterAnyKey) {
+  auto snap = MustBuild(MakeRandomCorpus(19));
+  const std::vector<ScanRecord> all = PageThrough(*snap, 1u << 20);
+  ASSERT_GT(all.size(), 10u);
+  // Resuming after the i-th record yields exactly the suffix; a key that
+  // is not in the snapshot resumes at the next one that is.
+  for (std::size_t i = 0; i < all.size(); i += all.size() / 10) {
+    std::vector<ScanRecord> rest;
+    bool more = true;
+    ASSERT_TRUE(snap->ScanPage({all[i].kind, all[i].a, all[i].b}, 1u << 20,
+                               Deadline(), &rest, &more)
+                    .ok());
+    EXPECT_FALSE(more);
+    EXPECT_EQ(KeysOf(rest), KeysOf({all.begin() + static_cast<long>(i) + 1,
+                                    all.end()}));
+  }
+  std::vector<ScanRecord> page;
+  bool more = true;
+  ASSERT_TRUE(
+      snap->ScanPage({'D', 0, 0}, 1u << 20, Deadline(), &page, &more).ok());
+  ASSERT_FALSE(page.empty());
+  EXPECT_EQ(page.front().kind, 'F');
+  // Past the end: an empty final page.
+  for (ScanCursor end : {ScanCursor{'P', static_cast<ObsId>(
+                                              snap->num_observations()),
+                                    0},
+                         ScanCursor{'P', 0xffffffffu, 0xffffffffu}}) {
+    page.clear();
+    more = true;
+    ASSERT_TRUE(snap->ScanPage(end, 10, Deadline(), &page, &more).ok());
+    EXPECT_TRUE(page.empty());
+    EXPECT_FALSE(more);
+  }
+}
+
 // --- RelationshipSnapshot: build failure modes -------------------------------
 
 TEST(SnapshotTest, BuildHonorsDeadline) {
@@ -544,6 +860,29 @@ TEST(SnapshotTest, IncrementalRefreshEqualsFullRebuild) {
   EXPECT_EQ((*refreshed)->num_complementary(), full->num_complementary());
   EXPECT_TRUE(ScanSets(**refreshed) == ScanSets(*full));
   EXPECT_EQ((*refreshed)->fingerprint(), full->fingerprint());
+
+  // Row for row, at every kind of split point.
+  for (std::size_t split : {0, 1, 30, 59, 60}) {
+    auto split_base = MustBuild(MakeRandomCorpus(7, split), 1);
+    auto split_refresh = RelationshipSnapshot::BuildIncremental(
+        *split_base, MakeRandomCorpus(7, 60), {});
+    ASSERT_TRUE(split_refresh.ok()) << split_refresh.status().ToString();
+    EXPECT_TRUE((*split_refresh)->SameRelationships(*full)) << split;
+  }
+  // The base's selector carries through the refresh.
+  RelationshipSnapshot::BuildOptions compl_only;
+  compl_only.selector = core::RelationshipSelector::ComplOnly();
+  auto compl_base =
+      RelationshipSnapshot::Build(MakeRandomCorpus(7, 30), compl_only);
+  auto compl_full =
+      RelationshipSnapshot::Build(MakeRandomCorpus(7, 60), compl_only);
+  ASSERT_TRUE(compl_base.ok() && compl_full.ok());
+  EXPECT_EQ((*compl_full)->num_complementary(), full->num_complementary());
+  EXPECT_EQ((*compl_full)->num_full() + (*compl_full)->num_partial(), 0u);
+  auto compl_refresh = RelationshipSnapshot::BuildIncremental(
+      **compl_base, MakeRandomCorpus(7, 60), {});
+  ASSERT_TRUE(compl_refresh.ok());
+  EXPECT_TRUE((*compl_refresh)->SameRelationships(**compl_full));
 }
 
 TEST(SnapshotTest, IncrementalRefreshRejectsNonExtension) {
@@ -573,6 +912,7 @@ TEST(SnapshotTest, SaveLoadRoundTrip) {
   EXPECT_EQ((*loaded)->num_partial(), snap->num_partial());
   EXPECT_EQ((*loaded)->num_complementary(), snap->num_complementary());
   EXPECT_TRUE(ScanSets(**loaded) == ScanSets(*snap));
+  EXPECT_TRUE((*loaded)->SameRelationships(*snap));
   std::remove(path.c_str());
 }
 
@@ -772,6 +1112,91 @@ TEST_F(ServerClientTest, PointLookupsAndScanMatchSnapshot) {
   auto missing = client.Containers(
       static_cast<ObsId>(snapshot_->num_observations()));
   EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+}
+
+TEST_F(ServerClientTest, ServerCapScanFitsTheFrameAndPagesToTheFullSet) {
+  ServerOptions options;
+  options.max_frame_bytes = 4096;
+  StartServer(MakeRandomCorpus(31, 60), options);
+  Client client = MakeClient();
+  const std::vector<ScanRecord> want = PageThrough(*snapshot_, 1u << 20);
+  ASSERT_GT(want.size(), ScanRecordsPerFrame(options.max_frame_bytes));
+
+  // limit 0 asks for the server cap: clamped to what one frame holds.
+  Request req;
+  req.op = Op::kScan;
+  auto first = client.Call(req);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->code, RespCode::kOk) << first->error;
+  EXPECT_LE(EncodeResponse(*first).size(), options.max_frame_bytes);
+  EXPECT_EQ(first->records.size(),
+            ScanRecordsPerFrame(options.max_frame_bytes));
+  EXPECT_TRUE(first->more);
+
+  std::vector<ScanRecord> got = first->records;
+  ScanCursor cursor = first->cursor;
+  for (bool more = first->more; more;) {
+    auto page = client.ScanPage(cursor, 0);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_LE(EncodeResponse(*page).size(), options.max_frame_bytes);
+    got.insert(got.end(), page->records.begin(), page->records.end());
+    cursor = page->cursor;
+    more = page->more;
+  }
+  EXPECT_EQ(KeysOf(got), KeysOf(want));
+
+  // Past the end: an empty final page that echoes the cursor.
+  auto end = client.ScanPage({'P', 0xffffffffu, 0xffffffffu}, 0);
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_TRUE(end->records.empty());
+  EXPECT_FALSE(end->more);
+  EXPECT_EQ(end->cursor.kind, 'P');
+}
+
+TEST_F(ServerClientTest, SameSnapshotAndRequestGiveIdenticalBytes) {
+  StartServer(MakeRandomCorpus(13, 60), ServerOptions{});
+  Request req;
+  req.op = Op::kScan;
+  req.limit = 50;
+  req.cursor = {'F', 3, 0};
+  req.deadline_ms = 5000;
+  req.request_id = 77;
+  auto fetch = [&]() {
+    auto conn = ConnectTo("127.0.0.1", server_->port(), Deadline(2.0));
+    EXPECT_TRUE(conn.ok());
+    std::string payload;
+    if (!conn.ok()) return payload;
+    EXPECT_TRUE(
+        WriteFrame(conn->get(), EncodeRequest(req), Deadline(2.0)).ok());
+    EXPECT_TRUE(
+        ReadFrame(conn->get(), &payload, kDefaultMaxFrameBytes, Deadline(2.0))
+            .ok());
+    return payload;
+  };
+  const std::string first = fetch();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(fetch(), first);
+  // A snapshot rebuilt from the same corpus answers with the same bytes.
+  server_->store().Publish(MustBuild(MakeRandomCorpus(13, 60), 1));
+  EXPECT_EQ(fetch(), first);
+}
+
+TEST_F(ServerClientTest, VersionOneFrameGetsBadRequest) {
+  StartServer(MakeRunningExample(), ServerOptions{});
+  auto conn = ConnectTo("127.0.0.1", server_->port(), Deadline(2.0));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  Request req;
+  req.op = Op::kPing;
+  std::string v1 = EncodeRequest(req);
+  v1[0] = 1;
+  ASSERT_TRUE(WriteFrame(conn->get(), v1, Deadline(2.0)).ok());
+  std::string payload;
+  ASSERT_TRUE(
+      ReadFrame(conn->get(), &payload, kDefaultMaxFrameBytes, Deadline(2.0))
+          .ok());
+  auto resp = DecodeResponse(payload);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->code, RespCode::kBadRequest);
 }
 
 TEST_F(ServerClientTest, SequentialRequestsReuseOneConnection) {

@@ -22,6 +22,8 @@
 //   rdfcube_cli query    <host:port> <op> [obs-id] [--min-degree=D]
 //                                               [--limit=N]   query a server
 //       op: ping|containers|contained|complements|partial|scan|stats
+//       (scan pages through every relationship; --limit=N asks for one
+//       page of at most N records)
 
 #include <signal.h>
 
@@ -362,6 +364,8 @@ int CmdQuery(const std::string& hostport,
         "<ping|containers|contained|complements|partial|scan|stats|"
         "metrics|slowlog|tracez> "
         "[obs-id] [--min-degree=D] [--limit=N]\n"
+        "(scan: without --limit pages through every relationship; "
+        "--limit=N returns one page of at most N records)\n"
         "(tracez: --limit=N is the capture window in ms, default 100)\n",
         stderr);
     return 1;
@@ -425,13 +429,29 @@ int CmdQuery(const std::string& hostport,
     return 0;
   }
   if (op == "scan") {
-    auto records = client.Scan(limit);
-    if (!records.ok()) return Fail(records.status());
-    for (const auto& rec : records.value()) {
-      std::printf("%c %u %u %.4f\n", static_cast<char>(rec.kind), rec.a,
-                  rec.b, rec.degree);
+    // Without --limit, follow the cursor page by page until the last one.
+    server::ScanCursor cursor;
+    std::size_t total = 0;
+    uint64_t version = 0;
+    for (bool first = true;; first = false) {
+      auto page = client.ScanPage(cursor, limit);
+      if (!page.ok()) return Fail(page.status());
+      if (!first && page->snapshot_version != version) {
+        std::fprintf(stderr,
+                     "note: snapshot reloaded mid-scan (v%llu -> v%llu)\n",
+                     static_cast<unsigned long long>(version),
+                     static_cast<unsigned long long>(page->snapshot_version));
+      }
+      version = page->snapshot_version;
+      for (const auto& rec : page->records) {
+        std::printf("%c %u %u %.4f\n", static_cast<char>(rec.kind), rec.a,
+                    rec.b, rec.degree);
+      }
+      total += page->records.size();
+      cursor = page->cursor;
+      if (limit != 0 || !page->more) break;
     }
-    std::printf("(%zu records)\n", records.value().size());
+    std::printf("(%zu records)\n", total);
     return 0;
   }
   if (op == "stats") {
