@@ -126,8 +126,7 @@ void IncrementalEngine::Link(qb::ObsId a, qb::ObsId b) {
 
 void IncrementalEngine::Compare(qb::ObsId a, qb::ObsId b) {
   const std::size_t k = obs_->space().num_dimensions();
-  const std::size_t count_ab = CountContainingDims(*obs_, a, b, nullptr);
-  const std::size_t count_ba = CountContainingDims(*obs_, b, a, nullptr);
+  const auto [count_ab, count_ba] = CountContainingDimsBothWays(*obs_, a, b);
   const bool shares = obs_->SharesMeasure(a, b);
   bool linked = false;
   auto link_once = [&] {

@@ -5,7 +5,7 @@
 // dimension space (paper §3.1): `a` contains `b` on dimension d when a's
 // value is an ancestor-or-self of b's. cubeMasking's passes, the incremental
 // engine and the snapshot's refresh delta all evaluate pairs through these
-// three forms, so every exact engine shares one definition. The measure gate
+// forms, so every exact engine shares one definition. The measure gate
 // (Def. 4 condition 3) stays with the callers: complementarity must not
 // apply it.
 
@@ -53,6 +53,31 @@ RDFCUBE_HOT inline std::size_t CountContainingDims(
     }
   }
   return count;
+}
+
+/// Dimension counts of a pair in both directions.
+struct ContainingDims {
+  /// Dimensions on which `a` contains `b`.
+  std::size_t ab = 0;
+  /// Dimensions on which `b` contains `a`.
+  std::size_t ba = 0;
+};
+
+/// CountContainingDims(a, b) and (b, a) in one pass over the dimensions,
+/// for callers that classify an unordered pair.
+RDFCUBE_HOT inline ContainingDims CountContainingDimsBothWays(
+    const qb::ObservationSet& obs, qb::ObsId a, qb::ObsId b) {
+  const qb::CubeSpace& space = obs.space();
+  const std::size_t k = space.num_dimensions();
+  ContainingDims counts;
+  for (qb::DimId d = 0; d < k; ++d) {
+    const hierarchy::CodeList& list = space.code_list(d);
+    const hierarchy::CodeId va = obs.ValueOrRoot(a, d);
+    const hierarchy::CodeId vb = obs.ValueOrRoot(b, d);
+    if (list.IsAncestorOrSelf(va, vb)) ++counts.ab;
+    if (list.IsAncestorOrSelf(vb, va)) ++counts.ba;
+  }
+  return counts;
 }
 
 /// Equal root-padded coordinates: mutual full dimensional containment, i.e.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "base/hot.h"
@@ -93,6 +94,8 @@ void CountObservations(std::size_t n) {
 
 // Append-only buffer in fixed-size blocks: growth never copies what is
 // already collected, so a build's transient peak is the entries themselves.
+// std::deque grows the same way but in 512-byte blocks, which measured a
+// higher and less steady peak RSS (DESIGN.md §6).
 template <typename T>
 class BlockBuffer {
  public:
@@ -260,9 +263,10 @@ void EvaluatePair(const qb::ObservationSet& observations,
   const std::size_t k = observations.space().num_dimensions();
   if ((sel.full_containment || sel.partial_containment) &&
       observations.SharesMeasure(x, y)) {
-    for (const auto& [a, b] : {std::pair{x, y}, std::pair{y, x}}) {
-      const std::size_t count =
-          CountContainingDims(observations, a, b, nullptr);
+    const ContainingDims counts =
+        CountContainingDimsBothWays(observations, x, y);
+    for (const auto& [a, b, count] :
+         {std::tuple{x, y, counts.ab}, std::tuple{y, x, counts.ba}}) {
       if (count == k) {
         if (sel.full_containment) out->full.Push({a, b});
       } else if (count > 0 && sel.partial_containment) {

@@ -82,8 +82,10 @@ class RelationshipSnapshot {
   struct BuildOptions {
     /// Which relationship types to materialize.
     RelationshipSelector selector = RelationshipSelector::All();
-    /// Cooperative build deadline, checked on entry, per observation and
-    /// inside the masking kernel; expiry fails the build with TimedOut.
+    /// Cooperative build deadline; expiry fails the build with TimedOut.
+    /// Build checks it on entry and inside the masking kernel (every few
+    /// thousand pairs), not while freezing the rows; BuildIncremental
+    /// checks it once per appended observation.
     Deadline deadline;
     /// Monotonic publication version stamped on the snapshot (the server's
     /// reload counter; echoed in every response for staleness checks).

@@ -44,7 +44,9 @@ enum class Op : uint8_t {
   /// Observations partially contained by `target` (degree >= min_degree).
   kPartial = 5,
   /// One page of the bulk scan over every materialized relationship, in
-  /// (kind, a, b) order, resuming after `Request::cursor`.
+  /// (kind, a, b) order, resuming after `Request::cursor`. A page holds
+  /// at most `Request::limit` records and never more than fit in one
+  /// response frame (ScanRecordsPerFrame).
   kScan = 6,
   /// Server statistics (snapshot sizes, admission counters).
   kStats = 7,
@@ -97,8 +99,9 @@ struct Request {
   uint32_t deadline_ms = 0;
   /// Minimum partial-containment degree (kPartial only).
   double min_degree = 0.0;
-  /// Cap on returned records for kScan; capture window in milliseconds for
-  /// kTraceDump (0 = server default in both cases).
+  /// Cap on returned records for kScan (0 = as many as fit in a response
+  /// frame); capture window in milliseconds for kTraceDump (0 = server
+  /// default).
   uint32_t limit = 0;
   /// kScan only: return records strictly after this key. The default (kind
   /// 0) starts from the first record.

@@ -477,8 +477,7 @@ RDFCUBE_HOT Response Server::Evaluate(const Request& req,
     }
     case Op::kScan: {
       // A page holds no more records than its response frame can carry.
-      uint32_t cap = std::min(options_.max_scan_records,
-                              ScanRecordsPerFrame(options_.max_frame_bytes));
+      uint32_t cap = ScanRecordsPerFrame(options_.max_frame_bytes);
       if (req.limit != 0) cap = std::min(cap, req.limit);
       bool more = false;
       const Status st =

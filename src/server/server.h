@@ -55,8 +55,6 @@ struct ServerOptions {
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Budget for writing one response back to a client.
   double write_timeout_seconds = 5.0;
-  /// Cap on records in one kScan response (request limit clamps to it).
-  uint32_t max_scan_records = 1u << 16;
   /// Entries retained by the keep-the-slowest slowlog ring (0 disables).
   std::size_t slowlog_capacity = 64;
   /// When true (default), kMetrics/kSlowlog answer inline from the reactor,
