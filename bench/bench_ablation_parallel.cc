@@ -1,10 +1,11 @@
 // Ablation (paper §6 future work, implemented here): parallel cubeMasking —
-// the comparable-cube-pair work list sharded over a thread pool — against
-// the sequential run, across thread counts.
+// the outer cubes split into contiguous ranges balanced by covered pairs,
+// each range run by RunCubeMaskingOuterRange on a thread pool — against the
+// sequential run, across thread counts.
 //
-// Note: speedup is bounded by the host's core count; on a single-core
-// container the interest is the overhead profile (the sharded run should not
-// be significantly slower than sequential).
+// Note: speedup is bounded by the host's core count, and the parallel run
+// pays for a children index and for buffering every relationship in
+// per-range sinks before the merge.
 
 #include <benchmark/benchmark.h>
 

@@ -10,9 +10,13 @@
 # submit/error races, concurrent masking runs, checkpoint storms, admission
 # queue and snapshot-swap storms) plus the fault-injected server soak; the
 # address/undefined passes add server_test, whose protocol fuzzers push
-# hostile frames through the wire decoders, and snapshot_fuzz_test, which
-# mutates every byte of a snapshot file through LoadFrom. Uses separate build trees so the
-# sanitized builds never pollute the main ./build.
+# hostile frames through the wire decoders, snapshot_fuzz_test, which
+# mutates every byte of a snapshot file through LoadFrom, and
+# core_masking_test plus invariants_test, which drive cubeMasking's packed
+# member-table row indexing (every pass, the parallel, checkpointed and
+# distributed runs, 64-dimension and 300-level corpora) against the
+# baseline. Uses separate build trees so the sanitized builds never pollute
+# the main ./build.
 #
 # Usage: scripts/check_sanitizers.sh [sanitizer ...]
 #   sanitizers: address undefined thread (default: all three)
@@ -24,7 +28,7 @@ cd "$(dirname "$0")/.."
 for san in $sanitizers; do
   case "$san" in
     thread) targets="race_stress_test fault_test robustness_test server_soak_test" ;;
-    *)      targets="robustness_test fault_test binary_io_test server_test snapshot_fuzz_test" ;;
+    *)      targets="robustness_test fault_test binary_io_test server_test snapshot_fuzz_test core_masking_test invariants_test" ;;
   esac
   regex="$(echo "$targets" | tr ' ' '|')"
   dir="build-$(echo "$san" | cut -c1-4)"

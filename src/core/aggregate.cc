@@ -64,8 +64,7 @@ Result<RollUpResult> RollUp(
   CubeSignature target_sig;
   target_sig.levels.resize(space.num_dimensions());
   for (qb::DimId d = 0; d < space.num_dimensions(); ++d) {
-    target_sig.levels[d] =
-        static_cast<uint8_t>(space.code_list(d).level(result.coordinate[d]));
+    target_sig.levels[d] = space.code_list(d).level(result.coordinate[d]);
   }
   for (CubeId c = 0; c < lattice.num_cubes(); ++c) {
     if (!target_sig.DominatesAll(lattice.signature(c))) continue;

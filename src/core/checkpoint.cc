@@ -295,8 +295,10 @@ Status RunCubeMaskingCheckpointed(const qb::ObservationSet& obs,
     }
   }
 
-  // The fused pass is the resumable unit (see RunCubeMaskingOuterRange);
-  // pre-fetch the children index once for all outer cubes when asked to.
+  // The fused pass is the resumable unit (see RunCubeMaskingOuterRange):
+  // pack the member table once for all outer cubes, and pre-fetch the
+  // children index once when asked to.
+  const MemberTable table(obs, lattice);
   std::unique_ptr<CubeChildrenIndex> children;
   if (options.prefetch_children) {
     children = std::make_unique<CubeChildrenIndex>(lattice);
@@ -308,7 +310,7 @@ Status RunCubeMaskingCheckpointed(const qb::ObservationSet& obs,
   std::size_t since_checkpoint = 0;
   for (CubeId c = state.next_cube; c < num_cubes; ++c) {
     RDFCUBE_RETURN_IF_ERROR(RunCubeMaskingOuterRange(
-        obs, lattice, options, c, c + 1, &tee, stats, children.get()));
+        obs, lattice, table, options, c, c + 1, &tee, stats, children.get()));
     state.next_cube = c + 1;
     if (++since_checkpoint >= interval) {
       since_checkpoint = 0;

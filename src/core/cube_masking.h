@@ -36,6 +36,10 @@ struct CubeMaskingStats {
   std::size_t num_cubes = 0;
   std::size_t cube_pairs_checked = 0;
   std::size_t cube_pairs_comparable = 0;
+  /// Observation pairs the comparable cube pairs cover: |Mj|·|Mk| minus
+  /// self pairs per pair, member groups without a shared measure included
+  /// although the passes skip them (the complementarity-only pass covers
+  /// each cube's unordered pairs once).
   std::size_t observation_pairs_compared = 0;
   /// Relationships handed to the sink (all selected types combined).
   std::size_t relationships_emitted = 0;
@@ -44,7 +48,8 @@ struct CubeMaskingStats {
 /// \brief Runs cubeMasking over a pre-built lattice.
 ///
 /// Relationship semantics match RunBaseline exactly (the method is lossless);
-/// only the enumeration order of emitted relationships differs.
+/// only the enumeration order of emitted relationships differs. Packs the
+/// lattice into a MemberTable first (linear in members × dimensions).
 ///
 /// `children` is the optional pre-fetched comparable-cube index (Fig. 5(g)):
 /// when provided, every pass enumerates its lists instead of scanning all
@@ -62,18 +67,22 @@ struct CubeMaskingStats {
                       CubeMaskingStats* stats = nullptr);
 
 /// \brief Runs the fused cubeMasking pass restricted to outer cubes in
-/// `[begin_cube, end_cube)`.
+/// `[begin_cube, end_cube)`, over a MemberTable packed from `lattice`.
 ///
-/// This is the resumable substrate used by core/checkpoint.h: the fused pass
-/// partitions the work by outer cube, so a run interrupted after finishing
-/// outer cube `c` continues with `begin_cube = c + 1` and the concatenated
-/// emissions equal an uninterrupted run's. Always uses the fused single
-/// lattice iteration regardless of `options.prefetch_children` (the fused
-/// pass is equivalent to the per-type passes for every selector combination;
-/// only enumeration order differs). Fails with OutOfRange when the range
-/// does not fit the lattice.
+/// This is the resumable and parallel substrate (core/checkpoint.h,
+/// core/parallel_masking.h): the fused pass partitions the work by outer
+/// cube, so a run interrupted after finishing outer cube `c` continues with
+/// `begin_cube = c + 1`, and the concatenated emissions of consecutive
+/// ranges equal one uninterrupted run's. Callers that cover the lattice in
+/// many ranges pack `table` once and share it, read-only, across ranges and
+/// threads. Always uses the fused single lattice iteration regardless of
+/// `options.prefetch_children` (the fused pass is equivalent to the
+/// per-type passes for every selector combination; only enumeration order
+/// differs). Fails with OutOfRange when the range does not fit the lattice
+/// and InvalidArgument when `table` was packed from another lattice.
 [[nodiscard]] Status RunCubeMaskingOuterRange(const qb::ObservationSet& obs,
                                 const Lattice& lattice,
+                                const MemberTable& table,
                                 const CubeMaskingOptions& options,
                                 CubeId begin_cube, CubeId end_cube,
                                 RelationshipSink* sink,

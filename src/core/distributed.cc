@@ -8,6 +8,7 @@
 
 #include "core/cube_masking.h"
 #include "core/lattice.h"
+#include "core/pair_kernel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/cube_space.h"
@@ -64,23 +65,16 @@ class DistributedCounterFlusher {
 constexpr std::size_t kDeadlineStride = 4096;
 
 // Evaluates one ordered cross-partition observation pair under the fused
-// semantics (mirrors cube_masking.cc's FusedPass body).
+// semantics, through the shared pair kernel (core/pair_kernel.h).
 void EvaluatePair(const qb::ObservationSet& obs,
                   const RelationshipSelector& sel, qb::ObsId a, qb::ObsId b,
                   bool same_signature, RelationshipSink* sink) {
-  const qb::CubeSpace& space = obs.space();
-  const std::size_t kd = space.num_dimensions();
-  const bool shares = obs.SharesMeasure(a, b);
-  if (shares && (sel.full_containment || sel.partial_containment)) {
+  const std::size_t kd = obs.space().num_dimensions();
+  if (obs.SharesMeasure(a, b) &&
+      (sel.full_containment || sel.partial_containment)) {
     uint64_t mask = 0;
-    std::size_t count = 0;
-    for (qb::DimId d = 0; d < kd; ++d) {
-      if (space.code_list(d).IsAncestorOrSelf(obs.ValueOrRoot(a, d),
-                                              obs.ValueOrRoot(b, d))) {
-        ++count;
-        if (sel.partial_dimension_map) mask |= (uint64_t{1} << d);
-      }
-    }
+    const std::size_t count = CountContainingDims(
+        obs, a, b, sel.partial_dimension_map ? &mask : nullptr);
     if (count == kd) {
       if (sel.full_containment) sink->OnFullContainment(a, b);
     } else if (count > 0 && sel.partial_containment) {
@@ -88,15 +82,8 @@ void EvaluatePair(const qb::ObservationSet& obs,
           a, b, static_cast<double>(count) / static_cast<double>(kd), mask);
     }
   }
-  if (sel.complementarity && same_signature && a < b) {
-    bool equal = true;
-    for (qb::DimId d = 0; d < kd; ++d) {
-      if (obs.ValueOrRoot(a, d) != obs.ValueOrRoot(b, d)) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) sink->OnComplementarity(a, b);
+  if (sel.complementarity && same_signature && a < b && ValuesEqual(obs, a, b)) {
+    sink->OnComplementarity(a, b);
   }
 }
 

@@ -4,7 +4,9 @@
 #ifndef RDFCUBE_CORE_LATTICE_H_
 #define RDFCUBE_CORE_LATTICE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,10 +19,11 @@ namespace core {
 /// Dense index of a cube (lattice node) present in the input.
 using CubeId = uint32_t;
 
-/// \brief A cube's level signature: levels_[d] = hierarchy level of the
-/// observation's value for dimension d (root = 0).
+/// \brief A cube's level signature: levels[d] = hierarchy level of the
+/// observation's value for dimension d (root = 0), the type
+/// CodeList::level returns, so deep hierarchies never wrap.
 struct CubeSignature {
-  std::vector<uint8_t> levels;
+  std::vector<uint32_t> levels;
 
   bool operator==(const CubeSignature& o) const { return levels == o.levels; }
 
@@ -51,7 +54,7 @@ struct CubeSignature {
 struct CubeSignatureHash {
   std::size_t operator()(const CubeSignature& s) const {
     std::size_t h = 1469598103934665603ull;
-    for (uint8_t l : s.levels) {
+    for (uint32_t l : s.levels) {
       h ^= l;
       h *= 1099511628211ull;
     }
@@ -124,6 +127,65 @@ class CubeChildrenIndex {
  private:
   std::vector<std::vector<CubeId>> all_dom_;
   std::vector<std::vector<CubeId>> any_dom_;
+};
+
+/// \brief One member's root-padded Euler-tour label on one dimension: the
+/// hierarchy::EulerLabels entry of its value (the root's when absent).
+struct DimLabel {
+  uint32_t pre;
+  uint32_t post;
+};
+
+/// \brief cubeMasking's plain-data view of a lattice (DESIGN.md §5): one row
+/// per member in cube-major order, each holding the member's DimLabel for
+/// every dimension.
+///
+/// Inside a cube, rows are grouped by measure mask and ascend by ObsId
+/// within a group, so a pass skips whole group pairs that share no measure
+/// (Def. 4 condition 3). Built once per lattice from its members (a
+/// partition-local lattice packs only its partition) and only read after,
+/// so one table serves any number of concurrent outer-cube ranges.
+class MemberTable {
+ public:
+  /// Rows [begin, end) of one cube whose members share `measure_mask`.
+  struct Group {
+    uint32_t begin;
+    uint32_t end;
+    uint64_t measure_mask;
+  };
+
+  /// Packs the members of `lattice`, whose observations live in `obs`, in
+  /// one pass. Any later change to the lattice invalidates the table.
+  MemberTable(const qb::ObservationSet& obs, const Lattice& lattice);
+
+  std::size_t num_dims() const { return num_dims_; }
+  std::size_t num_cubes() const { return cube_rows_.size() - 1; }
+
+  /// Rows of cube c are [cube_begin(c), cube_end(c)).
+  uint32_t cube_begin(CubeId c) const { return cube_rows_[c]; }
+  uint32_t cube_end(CubeId c) const { return cube_rows_[c + 1]; }
+  std::size_t cube_size(CubeId c) const { return cube_end(c) - cube_begin(c); }
+
+  /// The measure groups of cube c, in row order.
+  std::span<const Group> groups(CubeId c) const {
+    return {groups_.data() + cube_groups_[c],
+            groups_.data() + cube_groups_[c + 1]};
+  }
+
+  qb::ObsId id(uint32_t row) const { return ids_[row]; }
+
+  /// The row's labels, indexed by dimension.
+  const DimLabel* labels(uint32_t row) const {
+    return labels_.data() + std::size_t{row} * num_dims_;
+  }
+
+ private:
+  std::size_t num_dims_;
+  std::vector<uint32_t> cube_rows_;    // num_cubes + 1 row offsets
+  std::vector<uint32_t> cube_groups_;  // num_cubes + 1 offsets into groups_
+  std::vector<Group> groups_;
+  std::vector<qb::ObsId> ids_;         // row -> ObsId
+  std::vector<DimLabel> labels_;       // row-major, num_dims_ per row
 };
 
 }  // namespace core

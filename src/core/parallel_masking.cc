@@ -1,10 +1,8 @@
 #include "core/parallel_masking.h"
 
-#include <memory>
 #include <vector>
 
 #include "obs/trace.h"
-#include "qb/cube_space.h"
 #include "qb/observation_set.h"
 #include "util/thread_pool.h"
 
@@ -15,65 +13,34 @@ namespace obx = ::rdfcube::obs;
 
 namespace {
 
-// Worker body: the cube-pair passes of cubeMasking restricted to outer cubes
-// j with j % stride == shard.
-void ProcessShard(const qb::ObservationSet& obs, const Lattice& lattice,
-                  const RelationshipSelector& sel, std::size_t shard,
-                  std::size_t stride, CollectingSink* out) {
-  const qb::CubeSpace& space = obs.space();
-  const std::size_t kd = space.num_dimensions();
-  const std::size_t c = lattice.num_cubes();
-
-  auto count_dims = [&](qb::ObsId a, qb::ObsId b) {
-    std::size_t count = 0;
-    for (qb::DimId d = 0; d < kd; ++d) {
-      if (space.code_list(d).IsAncestorOrSelf(obs.ValueOrRoot(a, d),
-                                              obs.ValueOrRoot(b, d))) {
-        ++count;
-      }
+// Splits the outer cubes into at most `parts` contiguous ranges of about
+// equal work, counted as the observation pairs each outer cube's comparable
+// pairs cover. Returns the range boundaries, from 0 to the cube count.
+std::vector<CubeId> SplitByCoveredPairs(const MemberTable& table,
+                                        const CubeChildrenIndex& children,
+                                        bool any_dominated, std::size_t parts) {
+  const CubeId c = static_cast<CubeId>(table.num_cubes());
+  std::vector<std::size_t> work(c);
+  std::size_t total = 0;
+  for (CubeId j = 0; j < c; ++j) {
+    std::size_t inner = 0;
+    for (CubeId k : any_dominated ? children.any_dominated(j)
+                                  : children.all_dominated(j)) {
+      inner += table.cube_size(k);
     }
-    return count;
-  };
-
-  for (CubeId j = shard; j < c; j += stride) {
-    const CubeSignature& sj = lattice.signature(j);
-    for (CubeId k = 0; k < c; ++k) {
-      const CubeSignature& sk = lattice.signature(k);
-      const bool all_dom = sj.DominatesAll(sk);
-      const bool any_dom = sel.partial_containment && sj.DominatesAny(sk);
-      if (!all_dom && !any_dom) continue;
-      const bool same_cube = j == k;
-      for (qb::ObsId a : lattice.members(j)) {
-        for (qb::ObsId b : lattice.members(k)) {
-          if (a == b) continue;
-          const bool shares = obs.SharesMeasure(a, b);
-          if (sel.partial_containment && shares) {
-            const std::size_t count = count_dims(a, b);
-            if (count == kd) {
-              if (sel.full_containment) out->OnFullContainment(a, b);
-            } else if (count > 0) {
-              out->OnPartialContainment(
-                  a, b, static_cast<double>(count) / static_cast<double>(kd),
-                  0);
-            }
-          } else if (all_dom && shares && sel.full_containment) {
-            if (count_dims(a, b) == kd) out->OnFullContainment(a, b);
-          }
-          // Complementarity: same-cube, value-equal, report once (a < b).
-          if (sel.complementarity && same_cube && a < b) {
-            bool equal = true;
-            for (qb::DimId d = 0; d < kd; ++d) {
-              if (obs.ValueOrRoot(a, d) != obs.ValueOrRoot(b, d)) {
-                equal = false;
-                break;
-              }
-            }
-            if (equal) out->OnComplementarity(a, b);
-          }
-        }
-      }
+    work[j] = table.cube_size(j) * inner + 1;  // +1: the cube pair scan
+    total += work[j];
+  }
+  std::vector<CubeId> bounds = {0};
+  std::size_t done = 0;
+  for (CubeId j = 0; j < c; ++j) {
+    done += work[j];
+    if (bounds.size() < parts && done * parts >= total * bounds.size()) {
+      bounds.push_back(j + 1);
     }
   }
+  if (bounds.back() != c) bounds.push_back(c);
+  return bounds;
 }
 
 }  // namespace
@@ -83,30 +50,34 @@ Status RunCubeMaskingParallel(const qb::ObservationSet& obs,
                               const ParallelMaskingOptions& options,
                               RelationshipSink* sink) {
   const std::size_t threads = options.num_threads == 0 ? 1 : options.num_threads;
-  std::vector<std::unique_ptr<CollectingSink>> shards;
-  shards.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    shards.push_back(std::make_unique<CollectingSink>());
-  }
+  obx::TraceSpan prepare_span("parallel_masking/prepare");
+  const MemberTable table(obs, lattice);
+  const CubeChildrenIndex children(lattice);
+  const std::vector<CubeId> bounds = SplitByCoveredPairs(
+      table, children, options.selector.partial_containment, threads);
+  prepare_span.End();
+
+  const std::size_t ranges = bounds.size() - 1;
+  std::vector<CollectingSink> parts(ranges);
+  CubeMaskingOptions masking;
+  masking.selector = options.selector;
   {
-    obx::TraceSpan span("parallel_masking/shards");
+    obx::TraceSpan span("parallel_masking/ranges");
     ThreadPool pool(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      CollectingSink* out = shards[t].get();
-      pool.Submit([&obs, &lattice, &options, t, threads, out] {
-        obx::TraceSpan shard_span("parallel_masking/shard");
-        ProcessShard(obs, lattice, options.selector, t, threads, out);
-      });
-    }
-    pool.Wait();
+    RDFCUBE_RETURN_IF_ERROR(TryParallelFor(&pool, ranges, [&](std::size_t r) {
+      obx::TraceSpan range_span("parallel_masking/range");
+      return RunCubeMaskingOuterRange(obs, lattice, table, masking, bounds[r],
+                                      bounds[r + 1], &parts[r], nullptr,
+                                      &children);
+    }));
   }
   obx::TraceSpan merge_span("parallel_masking/merge");
-  for (const auto& shard : shards) {
-    for (const auto& [a, b] : shard->full()) sink->OnFullContainment(a, b);
-    for (const auto& p : shard->partial()) {
+  for (const CollectingSink& part : parts) {
+    for (const auto& [a, b] : part.full()) sink->OnFullContainment(a, b);
+    for (const auto& p : part.partial()) {
       sink->OnPartialContainment(p.a, p.b, p.degree, p.dim_mask);
     }
-    for (const auto& [a, b] : shard->complementary()) {
+    for (const auto& [a, b] : part.complementary()) {
       sink->OnComplementarity(a, b);
     }
   }

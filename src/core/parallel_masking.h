@@ -1,5 +1,6 @@
 // Parallel cubeMasking (paper §6 lists distributed/parallel execution as
-// future work): shards the comparable-cube-pair work list over a thread pool.
+// future work): the outer cubes split into contiguous ranges of about equal
+// work, each run by RunCubeMaskingOuterRange on a thread pool.
 
 #ifndef RDFCUBE_CORE_PARALLEL_MASKING_H_
 #define RDFCUBE_CORE_PARALLEL_MASKING_H_
@@ -21,10 +22,13 @@ struct ParallelMaskingOptions {
   std::size_t num_threads = 4;
 };
 
-/// \brief Runs cubeMasking with the outer cube loop partitioned across
-/// `num_threads` workers. Each worker collects into a private sink; results
-/// are merged into `sink` afterwards, so `sink` needs no synchronization.
-/// Emits exactly the same relationships as RunCubeMasking.
+/// \brief Runs cubeMasking with the outer cubes split into at most
+/// `num_threads` contiguous ranges, balanced by the observation pairs their
+/// comparable cube pairs cover. One MemberTable and one CubeChildrenIndex,
+/// packed up front, are shared read-only by every range; each range runs
+/// RunCubeMaskingOuterRange into a private sink, and the private sinks are
+/// merged into `sink` in range order afterwards, so `sink` needs no
+/// synchronization. Emits exactly the same relationships as RunCubeMasking.
 [[nodiscard]] Status RunCubeMaskingParallel(const qb::ObservationSet& obs,
                               const Lattice& lattice,
                               const ParallelMaskingOptions& options,

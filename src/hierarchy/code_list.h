@@ -22,6 +22,14 @@ using CodeId = uint32_t;
 /// Sentinel for "no code".
 inline constexpr CodeId kNoCode = UINT32_MAX;
 
+/// \brief A finalized code list's Euler-tour interval labels, indexed by
+/// CodeId: `a` is an ancestor-or-self of `b` iff pre[a] <= pre[b] and
+/// post[b] <= post[a]. Valid while the list is alive and unmodified.
+struct EulerLabels {
+  const uint32_t* pre;
+  const uint32_t* post;
+};
+
 /// \brief One dimension's hierarchical code list.
 ///
 /// Codes are added with an optional parent, then Finalize() validates the
@@ -56,6 +64,10 @@ class CodeList {
   bool IsAncestorOrSelf(CodeId a, CodeId b) const {
     return tin_[a] <= tin_[b] && tout_[b] <= tout_[a];
   }
+
+  /// The (pre, post) labels behind IsAncestorOrSelf, for kernels that pack
+  /// them. Precondition: Finalize() succeeded.
+  EulerLabels euler_labels() const { return {tin_.data(), tout_.data()}; }
 
   /// True iff `a` is a strict ancestor of `b`.
   bool IsStrictAncestor(CodeId a, CodeId b) const {

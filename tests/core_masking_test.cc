@@ -1,13 +1,23 @@
-// Tests for the lattice, cubeMasking (equivalence with the baseline — the
-// paper's losslessness claim), the prefetch option, and parallel masking.
+// Tests for the lattice, its member table, cubeMasking (equivalence with the
+// baseline — the paper's losslessness claim), the prefetch option, and the
+// parallel, checkpointed and distributed runs built on the same passes.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/baseline.h"
+#include "core/checkpoint.h"
 #include "core/cube_masking.h"
+#include "core/distributed.h"
 #include "core/engine.h"
 #include "core/occurrence_matrix.h"
 #include "core/parallel_masking.h"
@@ -17,8 +27,12 @@ namespace rdfcube {
 namespace core {
 namespace {
 
+using testutil::MakeAllRootCorpus;
+using testutil::MakeDeepChainCorpus;
+using testutil::MakeDuplicateCoordinateCorpus;
 using testutil::MakeRandomCorpus;
 using testutil::MakeRunningExample;
+using testutil::MakeWideCorpus;
 
 // Canonical snapshot of a sink for set comparison.
 struct Snapshot {
@@ -89,6 +103,86 @@ TEST(LatticeTest, ToStringSignature) {
   EXPECT_EQ(s.ToString(), "210");
   CubeSignature deep{{12}};
   EXPECT_EQ(deep.ToString(), "(12)");
+}
+
+TEST(LatticeTest, DeepLevelsDoNotWrap) {
+  qb::Corpus corpus = MakeDeepChainCorpus();
+  const qb::ObservationSet& obs = *corpus.observations;
+  const Lattice lattice(obs);
+  for (qb::ObsId i = 0; i < obs.size(); ++i) {
+    EXPECT_EQ(lattice.signature(lattice.cube_of(i)).levels[0],
+              obs.LevelOf(i, 0))
+        << obs.obs(i).iri;
+  }
+  // Depth 256 must not alias the root cube, nor depth 260 depth 4.
+  EXPECT_NE(lattice.cube_of(3), lattice.cube_of(0));  // deep:o256, deep:o0
+  EXPECT_EQ(lattice.signature(lattice.cube_of(4)).ToString(), "(260)1");
+}
+
+TEST(MemberTableTest, RowsAreGroupedPerCubeWithRootPaddedLabels) {
+  // One cube of three measure groups, and many small cubes.
+  qb::Corpus corpus = MakeAllRootCorpus(12);
+  qb::Corpus deep = MakeDeepChainCorpus();
+  for (const qb::Corpus* c : {&corpus, &deep}) {
+    const qb::ObservationSet& obs = *c->observations;
+    const Lattice lattice(obs);
+    const MemberTable table(obs, lattice);
+    ASSERT_EQ(table.num_cubes(), lattice.num_cubes());
+    ASSERT_EQ(table.num_dims(), obs.space().num_dimensions());
+    std::vector<qb::ObsId> seen;
+    for (CubeId cube = 0; cube < lattice.num_cubes(); ++cube) {
+      ASSERT_EQ(table.cube_size(cube), lattice.members(cube).size());
+      uint32_t next = table.cube_begin(cube);
+      uint64_t last_mask = 0;
+      for (const MemberTable::Group& g : table.groups(cube)) {
+        EXPECT_EQ(g.begin, next);  // groups tile the cube's rows
+        EXPECT_LT(g.begin, g.end);
+        if (next != table.cube_begin(cube)) {
+          EXPECT_GT(g.measure_mask, last_mask);
+        }
+        last_mask = g.measure_mask;
+        next = g.end;
+        for (uint32_t row = g.begin; row < g.end; ++row) {
+          const qb::ObsId id = table.id(row);
+          seen.push_back(id);
+          EXPECT_EQ(lattice.cube_of(id), cube);
+          EXPECT_EQ(obs.obs(id).measure_mask, g.measure_mask);
+          if (row > g.begin) {
+            EXPECT_LT(table.id(row - 1), id);
+          }
+          for (qb::DimId d = 0; d < table.num_dims(); ++d) {
+            const hierarchy::EulerLabels labels =
+                obs.space().code_list(d).euler_labels();
+            const hierarchy::CodeId code = obs.ValueOrRoot(id, d);
+            EXPECT_EQ(table.labels(row)[d].pre, labels.pre[code]);
+            EXPECT_EQ(table.labels(row)[d].post, labels.post[code]);
+          }
+        }
+      }
+      EXPECT_EQ(next, table.cube_end(cube));
+    }
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), obs.size());
+    for (qb::ObsId i = 0; i < obs.size(); ++i) EXPECT_EQ(seen[i], i);
+  }
+}
+
+TEST(MemberTableTest, PacksOnlyTheLatticeMembers) {
+  // A partition-local lattice (as RunDistributedMasking builds) packs its
+  // own members, not every observation of the set.
+  qb::Corpus corpus = MakeRandomCorpus(5, 30);
+  const qb::ObservationSet& obs = *corpus.observations;
+  Lattice local;
+  for (qb::ObsId i = 1; i < obs.size(); i += 2) local.AddObservation(obs, i);
+  const MemberTable table(obs, local);
+  std::size_t rows = 0;
+  for (CubeId c = 0; c < table.num_cubes(); ++c) {
+    rows += table.cube_size(c);
+    for (uint32_t row = table.cube_begin(c); row < table.cube_end(c); ++row) {
+      EXPECT_EQ(table.id(row) % 2, 1u);
+    }
+  }
+  EXPECT_EQ(rows, obs.size() / 2);
 }
 
 TEST(LatticeTest, AddRemoveObservation) {
@@ -209,6 +303,236 @@ TEST_P(MaskingEquivalenceTest, ChildrenIndexPathIsEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskingEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 26));
+
+// --- Exact differential oracle with dimension maps --------------------------------
+// Every cubeMasking path must emit exactly the baseline's records: the same
+// pairs, bit-identical degrees and equal dimension masks, each once.
+
+struct Records {
+  std::vector<std::pair<qb::ObsId, qb::ObsId>> full;
+  std::vector<std::pair<qb::ObsId, qb::ObsId>> compl_pairs;
+  // (a, b, degree bits, dim_mask)
+  std::vector<std::tuple<qb::ObsId, qb::ObsId, uint64_t, uint64_t>> partial;
+
+  static Records From(const CollectingSink& sink) {
+    Records r;
+    r.full = sink.full();
+    r.compl_pairs = sink.complementary();
+    for (const auto& p : sink.partial()) {
+      r.partial.emplace_back(p.a, p.b, std::bit_cast<uint64_t>(p.degree),
+                             p.dim_mask);
+    }
+    std::sort(r.full.begin(), r.full.end());
+    std::sort(r.compl_pairs.begin(), r.compl_pairs.end());
+    std::sort(r.partial.begin(), r.partial.end());
+    return r;
+  }
+  bool operator==(const Records& o) const {
+    return full == o.full && compl_pairs == o.compl_pairs &&
+           partial == o.partial;
+  }
+};
+
+Records BaselineRecords(const qb::ObservationSet& obs,
+                        const RelationshipSelector& sel) {
+  CollectingSink sink;
+  BaselineOptions options;
+  options.selector = sel;
+  EXPECT_TRUE(RunBaseline(obs, options, &sink).ok());
+  return Records::From(sink);
+}
+
+// The records of every cubeMasking path, by path name.
+std::vector<std::pair<std::string, Records>> MaskingPathRecords(
+    const qb::ObservationSet& obs, const RelationshipSelector& sel) {
+  std::vector<std::pair<std::string, Records>> out;
+  const Lattice lattice(obs);
+  const CubeChildrenIndex children(lattice);
+  for (bool prefetch : {true, false}) {
+    for (const CubeChildrenIndex* index : {static_cast<const CubeChildrenIndex*>(nullptr), &children}) {
+      CollectingSink sink;
+      CubeMaskingOptions options;
+      options.selector = sel;
+      options.prefetch_children = prefetch;
+      EXPECT_TRUE(
+          RunCubeMasking(obs, lattice, options, &sink, nullptr, index).ok());
+      out.emplace_back(std::string(prefetch ? "fused" : "per-type") +
+                           (index != nullptr ? "+children" : ""),
+                       Records::From(sink));
+    }
+  }
+  {
+    CollectingSink sink;
+    CubeMaskingOptions options;
+    options.selector = sel;
+    CheckpointOptions ckpt;
+    ckpt.path = ::testing::TempDir() + "core_masking_exact_" +
+                std::to_string(::getpid()) + ".ckpt";
+    ckpt.interval_cubes = 2;
+    EXPECT_TRUE(RunCubeMaskingCheckpointed(obs, options, ckpt, &sink).ok());
+    out.emplace_back("checkpointed", Records::From(sink));
+  }
+  for (std::size_t threads : {1, 3}) {
+    CollectingSink sink;
+    ParallelMaskingOptions options;
+    options.selector = sel;
+    options.num_threads = threads;
+    EXPECT_TRUE(RunCubeMaskingParallel(obs, lattice, options, &sink).ok());
+    out.emplace_back("parallel/" + std::to_string(threads),
+                     Records::From(sink));
+  }
+  {
+    CollectingSink sink;
+    DistributedOptions options;
+    options.selector = sel;
+    options.num_workers = 3;
+    EXPECT_TRUE(RunDistributedMasking(obs, options, &sink).ok());
+    out.emplace_back("distributed", Records::From(sink));
+  }
+  return out;
+}
+
+// Checks every path against the baseline under every selector shape, with
+// the dimension map on wherever partial containment is selected. Returns
+// the all-types baseline records for shape-specific assertions.
+Records ExpectAllPathsMatchBaseline(const qb::ObservationSet& obs) {
+  RelationshipSelector all;
+  all.partial_dimension_map = true;
+  RelationshipSelector partial_only = RelationshipSelector::PartialOnly();
+  partial_only.partial_dimension_map = true;
+  const RelationshipSelector selectors[] = {
+      all, RelationshipSelector::FullOnly(), partial_only,
+      RelationshipSelector::ComplOnly(), {true, false, true, false}};
+  for (const RelationshipSelector& sel : selectors) {
+    const Records base = BaselineRecords(obs, sel);
+    for (const auto& [name, got] : MaskingPathRecords(obs, sel)) {
+      EXPECT_TRUE(got == base)
+          << name << " differs from the baseline; selector bits "
+          << SelectorBits(sel) << ": full " << got.full.size() << " vs "
+          << base.full.size() << ", partial " << got.partial.size() << " vs "
+          << base.partial.size() << ", compl " << got.compl_pairs.size()
+          << " vs " << base.compl_pairs.size();
+    }
+  }
+  return BaselineRecords(obs, all);
+}
+
+class ExactOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExactOracleTest, RandomCorpora) {
+  const uint64_t seed = GetParam();
+  qb::Corpus corpus = MakeRandomCorpus(seed * 17 + 1, 40 + seed % 30,
+                                       3 + seed % 3);
+  const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
+  EXPECT_FALSE(base.partial.empty());
+}
+
+TEST_P(ExactOracleTest, DuplicateCoordinates) {
+  qb::Corpus corpus = MakeDuplicateCoordinateCorpus(GetParam());
+  const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
+  EXPECT_FALSE(base.compl_pairs.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactOracleTest,
+                         ::testing::Range<uint64_t>(1, 9));
+
+TEST(ExactOracleShapesTest, SixtyFourDimensions) {
+  qb::Corpus corpus = MakeWideCorpus(3);
+  ASSERT_EQ(corpus.observations->space().num_dimensions(), 64u);
+  const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
+  const bool bit63 = std::any_of(
+      base.partial.begin(), base.partial.end(),
+      [](const auto& p) { return (std::get<3>(p) >> 63) != 0; });
+  EXPECT_TRUE(bit63) << "no partial containment exercised dimension 63";
+}
+
+TEST(ExactOracleShapesTest, DeepChain) {
+  qb::Corpus corpus = MakeDeepChainCorpus();
+  const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
+  // deep:o10 (id 1) contains deep:o260 (id 4): a pair an 8-bit level
+  // signature used to prune.
+  EXPECT_TRUE(std::binary_search(base.full.begin(), base.full.end(),
+                                 std::make_pair(qb::ObsId{1}, qb::ObsId{4})));
+  for (Method method : {Method::kBaseline, Method::kCubeMasking}) {
+    CountingSink sink;
+    EngineOptions options;
+    options.method = method;
+    ASSERT_TRUE(
+        ComputeRelationships(*corpus.observations, options, &sink).ok());
+    EXPECT_EQ(sink.full(), base.full.size()) << MethodName(method);
+    EXPECT_EQ(sink.partial(), base.partial.size()) << MethodName(method);
+    EXPECT_EQ(sink.complementary(), base.compl_pairs.size())
+        << MethodName(method);
+  }
+}
+
+TEST(ExactOracleShapesTest, AllRootObservations) {
+  qb::Corpus corpus = MakeAllRootCorpus();
+  const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
+  const std::size_t n = corpus.observations->size();
+  EXPECT_EQ(base.compl_pairs.size(), n * (n - 1) / 2);
+  EXPECT_TRUE(base.partial.empty());
+}
+
+TEST(ExactOracleShapesTest, EmptyAndSingleObservation) {
+  qb::Corpus empty = MakeAllRootCorpus(0);
+  EXPECT_TRUE(ExpectAllPathsMatchBaseline(*empty.observations).full.empty());
+  qb::Corpus single = MakeAllRootCorpus(1);
+  EXPECT_TRUE(ExpectAllPathsMatchBaseline(*single.observations).full.empty());
+}
+
+// --- Funnel and deadline ----------------------------------------------------------
+
+TEST(CubeMaskingFunnelTest, CoveredPairsCountMeasureDisjointGroups) {
+  // The all-root corpus is one cube whose groups partly share no measure:
+  // the funnel still counts every covered pair, the sink only the emitted.
+  qb::Corpus corpus = MakeAllRootCorpus(30);
+  const std::size_t n = corpus.observations->size();
+  for (bool prefetch : {true, false}) {
+    CountingSink sink;
+    CubeMaskingStats stats;
+    CubeMaskingOptions options;
+    options.prefetch_children = prefetch;
+    options.selector.partial_containment = false;
+    ASSERT_TRUE(
+        RunCubeMasking(*corpus.observations, options, &sink, &stats).ok());
+    EXPECT_EQ(stats.cube_pairs_comparable, 1u);
+    // Fused: n(n-1) ordered pairs once; per-type: the full pass's n(n-1)
+    // plus the complementarity pass's n(n-1)/2.
+    EXPECT_EQ(stats.observation_pairs_compared,
+              prefetch ? n * (n - 1) : n * (n - 1) + n * (n - 1) / 2);
+    EXPECT_EQ(stats.relationships_emitted, sink.full() + sink.complementary());
+    EXPECT_LT(sink.full(), n * (n - 1));  // dataset 2 shares no measure
+  }
+}
+
+TEST(CubeMaskingFunnelTest, DeadlineIsReadEvery4096PairsInsideACube) {
+  // Every pair sits in one cube pair, so the deadline must be read inside
+  // it: an expired one stops the run before it evaluates (and so emits)
+  // more than 4,096 pairs.
+  qb::Corpus corpus = MakeAllRootCorpus(300);
+  for (bool prefetch : {true, false}) {
+    CountingSink sink;
+    CubeMaskingOptions options;
+    options.prefetch_children = prefetch;
+    options.deadline = Deadline(0.0);
+    EXPECT_TRUE(
+        RunCubeMasking(*corpus.observations, options, &sink).IsTimedOut());
+    EXPECT_LE(sink.full() + sink.partial() + sink.complementary(), 4096u);
+  }
+}
+
+TEST(CubeMaskingOuterRangeTest, RejectsATableOfAnotherLattice) {
+  qb::Corpus a = MakeRandomCorpus(2, 30);
+  qb::Corpus b = MakeAllRootCorpus(5);
+  const Lattice lattice_a(*a.observations);
+  const Lattice lattice_b(*b.observations);
+  const MemberTable table_b(*b.observations, lattice_b);
+  CountingSink sink;
+  EXPECT_TRUE(RunCubeMaskingOuterRange(*a.observations, lattice_a, table_b,
+                                       CubeMaskingOptions{}, 0, 1, &sink)
+                  .IsInvalidArgument());
+}
 
 // --- Engine facade ------------------------------------------------------------------
 

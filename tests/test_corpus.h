@@ -58,6 +58,29 @@ qb::Corpus MakeRandomCorpus(uint64_t seed, std::size_t num_obs = 60,
                             std::size_t num_dims = 3,
                             std::size_t num_datasets = 3);
 
+/// Adversarial shapes for the exact differential tests. Every one mixes
+/// datasets that share a measure with one that shares none, so a cube holds
+/// members whose measure sets are disjoint.
+///
+/// A 300-level chain hierarchy (deeper than any 8-bit level) plus a small
+/// side dimension: observations sit at depths 0, 10, 255, 256, 260, 299 and
+/// 300 of the chain. Among them, "deep:o10" (depth 10) fully contains
+/// "deep:o260" (depth 260) of the same dataset.
+qb::Corpus MakeDeepChainCorpus();
+
+/// 64 dimensions (the ObservationSet ceiling, so partial dimension masks
+/// reach bit 63) with shallow random trees; dataset 0 declares all 64.
+qb::Corpus MakeWideCorpus(uint64_t seed, std::size_t num_obs = 40);
+
+/// Observations that give no dimension value at all: every one is
+/// root-padded on every dimension, so they form a single cube.
+qb::Corpus MakeAllRootCorpus(std::size_t num_obs = 30);
+
+/// Observations drawn from a handful of coordinate tuples, so many share
+/// identical coordinates within and across datasets.
+qb::Corpus MakeDuplicateCoordinateCorpus(uint64_t seed,
+                                         std::size_t num_obs = 60);
+
 }  // namespace testutil
 }  // namespace rdfcube
 
