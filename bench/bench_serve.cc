@@ -194,9 +194,10 @@ void RunServe() {
 
   server::ServerOptions sopts;
   sopts.num_workers = 4;
-  // Closed-loop clients never have more than `threads` requests in flight;
-  // this capacity guarantees zero shedding (asserted via the
-  // server.shed_total stat) so latencies measure evaluation, not backoff.
+  // Closed-loop clients never have more than `threads` requests in flight,
+  // so no loop ever decodes more than that in one wakeup; this bound
+  // guarantees zero shedding (asserted via the server.shed_total stat) so
+  // latencies measure evaluation, not backoff.
   sopts.max_queue = 256;
   sopts.default_deadline_seconds = 30.0;
   sopts.max_deadline_seconds = 60.0;
@@ -256,9 +257,9 @@ void RunServe() {
     obs::TraceSpan drain("serve/drain");
     srv.Stop();
   }
-  // Tallies are read after Stop() joins the workers: a job's per-op counter
-  // ticks in the post-write epilogue, so an earlier read could undercount
-  // the op.* side of the conservation law.
+  // Tallies are read after Stop() joins the event loops: a request's per-op
+  // counter ticks in the post-send epilogue, so an earlier read could
+  // undercount the op.* side of the conservation law.
   g_stats.server_requests = srv.requests_total();
   g_stats.server_sheds = srv.shed_total();
   g_stats.server_deadline_expired = srv.deadline_expired_total();

@@ -12,8 +12,8 @@
 #      synthetic "(harness)" entry — sum to within 10% of wall_seconds.
 #   3. BENCH_serve.json additionally must report the serving workloads:
 #      <w>.{p50_us,p99_us,qps,requests,errors} for w in {point, scan}, with
-#      zero request errors and zero sheds (the harness sizes the admission
-#      queue so a healthy server never sheds — a shed here is a regression),
+#      zero request errors and zero sheds (the harness sizes each loop's
+#      request bound so a healthy server never sheds — a shed is a regression),
 #      plus per-op RED stats op.<op>.{requests,mean_us} for every wire op,
 #      whose request counts must sum to exactly server.requests_total (the
 #      metrics-conservation law the chaos soak also enforces).

@@ -7,8 +7,10 @@
 # sanitized is the cheapest way to prove "rejects cleanly" never means
 # "reads out of bounds first". The thread pass adds race_stress_test, which
 # exists specifically to give TSan contention to observe (thread-pool
-# submit/error races, concurrent masking runs, checkpoint storms, admission
-# queue and snapshot-swap storms) plus the fault-injected server soak; the
+# submit/error races, concurrent masking runs, checkpoint storms, request
+# conservation across a server Stop() and snapshot-swap storms), the
+# fault-injected server soak, and server_test, whose shed, deadline, drain,
+# slow-reader and trace-capture cases drive the server's event loops; the
 # address/undefined passes add server_test, whose protocol fuzzers push
 # hostile frames through the wire decoders, snapshot_fuzz_test, which
 # mutates every byte of a snapshot file through LoadFrom, and
@@ -27,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 for san in $sanitizers; do
   case "$san" in
-    thread) targets="race_stress_test fault_test robustness_test server_soak_test" ;;
+    thread) targets="race_stress_test fault_test robustness_test server_soak_test server_test" ;;
     *)      targets="robustness_test fault_test binary_io_test server_test snapshot_fuzz_test core_masking_test invariants_test" ;;
   esac
   regex="$(echo "$targets" | tr ' ' '|')"

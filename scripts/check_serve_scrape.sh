@@ -6,9 +6,9 @@
 #   1. validates the kMetrics scrape with scripts/check_prometheus.sh
 #      (HELP/TYPE pairing, name scheme, histogram le-monotonicity),
 #   2. asserts the per-op rdfcube_server_<op>_requests_total counters match
-#      the request mix EXACTLY — worker ops count, reactor-inline obs
-#      scrapes count only toward their own op, and a scrape never counts
-#      itself (RED attribution is exact, not approximate),
+#      the request mix EXACTLY — evaluated ops count, inline obs scrapes
+#      count only toward their own op, and a scrape never counts itself
+#      (RED attribution is exact, not approximate),
 #   3. exercises the slowlog and tracez endpoints end-to-end, and
 #   4. SIGTERMs the daemon and requires an orderly drain (exit 0 plus the
 #      structured "drained" log line).
@@ -59,9 +59,10 @@ addr="127.0.0.1:$port"
 echo "serverd up on $addr"
 
 # The known request mix (per-op counts asserted against the scrape below):
-# 7 ping + 3 containers + 2 scan + 1 stats ride the worker path, 1 tracedump
-# rides admission too (its capture window sleeps on a worker), and 1 slowlog
-# is answered inline by the reactor. 14 worker requests total.
+# 7 ping + 3 containers + 2 scan + 1 stats are evaluated by an event loop,
+# 1 tracedump is evaluated too (its connection waits out the capture window
+# while the loop serves others), and 1 slowlog is answered inline at
+# decode. 14 evaluated requests total.
 for _ in 1 2 3 4 5 6 7; do "$cli" query "$addr" ping      > /dev/null; done
 for _ in 1 2 3;         do "$cli" query "$addr" containers 0 > /dev/null; done
 for _ in 1 2;           do "$cli" query "$addr" scan --limit=5 > /dev/null; done
@@ -100,7 +101,7 @@ expected = {
     "rdfcube_server_tracedump_requests_total": 1,
     "rdfcube_server_slowlog_requests_total": 1,
     "rdfcube_server_metrics_requests_total": 0,
-    # Worker tally: slowlog and metrics were answered inline by the reactor.
+    # Evaluated tally: slowlog and metrics were answered inline at decode.
     "rdfcube_server_requests_total": 14,
     "rdfcube_server_shed_total": 0,
 }
@@ -112,7 +113,7 @@ for name, want in expected.items():
 with open(slowlog_path) as f:
     slowlog = json.load(f)
 if not isinstance(slowlog, list) or not slowlog:
-    sys.exit("FAIL: slowlog dump is empty despite worker traffic")
+    sys.exit("FAIL: slowlog dump is empty despite evaluated traffic")
 for entry in slowlog:
     for key in ("op", "request_id", "latency_us", "deadline_remaining_ms",
                 "snapshot_version", "sequence"):

@@ -84,6 +84,16 @@ class ByteReader {
     return true;
   }
 
+  /// Consumes the next `n` raw bytes and returns where they start, so a
+  /// counted run of fixed-width fields decodes in one step; nullptr
+  /// (consuming nothing) when fewer remain.
+  const char* Take(std::size_t n) {
+    if (n > Remaining()) return nullptr;
+    const char* at = bytes_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
+
   /// Bytes left unread; used to sanity-check element counts before
   /// allocating (a corrupt count must not drive a huge reserve).
   std::size_t Remaining() const { return bytes_.size() - pos_; }

@@ -77,7 +77,6 @@
 #include "rules/engine.h"                  // IWYU pragma: export
 #include "rules/paper_rules.h"             // IWYU pragma: export
 #include "rules/rule.h"                    // IWYU pragma: export
-#include "server/admission.h"              // IWYU pragma: export
 #include "server/client.h"                 // IWYU pragma: export
 #include "server/protocol.h"               // IWYU pragma: export
 #include "server/server.h"                 // IWYU pragma: export

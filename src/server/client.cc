@@ -214,7 +214,7 @@ Result<std::string> Client::TraceDump(uint32_t window_ms) {
   Request req;
   req.op = Op::kTraceDump;
   req.limit = window_ms;
-  // The server sleeps for the capture window before answering: give the
+  // The server answers when the capture window closes: give the
   // round trip (and the server-side deadline) room beyond the window.
   req.deadline_ms = window_ms + static_cast<uint32_t>(
                                     options_.request_timeout_seconds * 1000.0);

@@ -1,6 +1,8 @@
 #include "server/protocol.h"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "base/untrusted.h"
 #include "core/snapshot_io.h"
@@ -12,19 +14,39 @@ namespace server {
 namespace {
 
 using core::snapshot::ByteReader;
-using core::snapshot::PutDouble;
-using core::snapshot::PutU32;
-using core::snapshot::PutU64;
-using core::snapshot::PutU8;
 
 Status Malformed(const char* what) {
   return Status::ParseError(std::string("malformed frame: ") + what);
 }
 
-void PutCursor(std::string* out, const ScanCursor& cursor) {
-  PutU8(out, cursor.kind);
-  PutU32(out, cursor.a);
-  PutU32(out, cursor.b);
+// Fixed-width little-endian fields, each copied as one host integer (a
+// byte-shift loop compiles to ~60 instructions per 17-byte scan record).
+// Store writes through a cursor into a buffer the encoder sized up front
+// and returns the cursor past it; Load reads a run ByteReader::Take bounded.
+static_assert(std::endian::native == std::endian::little,
+              "the wire format is little-endian");
+
+template <typename T>
+char* Store(char* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+  return p + sizeof(v);
+}
+
+template <typename T>
+T Load(const char* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+char* StoreText(char* p, const std::string& text) {
+  p = Store(p, static_cast<uint32_t>(text.size()));
+  if (!text.empty()) std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+
+char* StoreCursor(char* p, const ScanCursor& cursor) {
+  return Store(Store(Store(p, cursor.kind), cursor.a), cursor.b);
 }
 
 // A cursor is a record key ('C', 'F' or 'P') or the all-zero start.
@@ -35,6 +57,35 @@ bool GetCursor(ByteReader* r, ScanCursor* cursor) {
   }
   if (cursor->kind == 0) return cursor->a == 0 && cursor->b == 0;
   return cursor->kind == 'C' || cursor->kind == 'F' || cursor->kind == 'P';
+}
+
+// Request bytes: version, op, target, deadline, min degree, limit, cursor, id.
+constexpr std::size_t kRequestBytes = 1 + 1 + 4 + 4 + 8 + 4 + 9 + 8;
+
+// Payload size of `resp`, from its field counts.
+std::size_t ResponseBytes(const Response& resp) {
+  return kResponseHeaderBytes + resp.error.size() + 4 * resp.ids.size() +
+         8 * resp.degrees.size() + kScanRecordBytes * resp.records.size() +
+         8 * resp.stats.size() + resp.text.size();
+}
+
+// Writes the payload of `resp` at `p`, which has ResponseBytes(resp) bytes.
+void StoreResponse(const Response& resp, char* p) {
+  p = Store(Store(p, kProtocolVersion), static_cast<uint8_t>(resp.code));
+  p = Store(Store(p, resp.retry_after_ms), resp.snapshot_version);
+  p = StoreText(p, resp.error);
+  p = Store(p, static_cast<uint32_t>(resp.ids.size()));
+  for (qb::ObsId id : resp.ids) p = Store(p, id);
+  p = Store(p, static_cast<uint32_t>(resp.degrees.size()));
+  for (double d : resp.degrees) p = Store(p, d);
+  p = Store(p, static_cast<uint32_t>(resp.records.size()));
+  for (const ScanRecord& rec : resp.records) {
+    p = Store(Store(Store(Store(p, rec.kind), rec.a), rec.b), rec.degree);
+  }
+  p = Store(StoreCursor(p, resp.cursor), static_cast<uint8_t>(resp.more));
+  p = Store(p, static_cast<uint32_t>(resp.stats.size()));
+  for (uint64_t s : resp.stats) p = Store(p, s);
+  Store(StoreText(p, resp.text), resp.request_id);
 }
 
 }  // namespace
@@ -61,15 +112,12 @@ uint32_t ScanRecordsPerFrame(uint32_t max_frame_bytes) {
 }
 
 std::string EncodeRequest(const Request& req) {
-  std::string out;
-  PutU8(&out, kProtocolVersion);
-  PutU8(&out, static_cast<uint8_t>(req.op));
-  PutU32(&out, req.target);
-  PutU32(&out, req.deadline_ms);
-  PutDouble(&out, req.min_degree);
-  PutU32(&out, req.limit);
-  PutCursor(&out, req.cursor);
-  PutU64(&out, req.request_id);
+  std::string out(kRequestBytes, '\0');
+  char* p = Store(Store(out.data(), kProtocolVersion),
+                  static_cast<uint8_t>(req.op));
+  p = Store(Store(p, req.target), req.deadline_ms);
+  p = Store(Store(p, req.min_degree), req.limit);
+  Store(StoreCursor(p, req.cursor), req.request_id);
   return out;
 }
 
@@ -100,32 +148,16 @@ RDFCUBE_TAINT_SOURCE Result<Request> DecodeRequest(const std::string& payload) {
 }
 
 std::string EncodeResponse(const Response& resp) {
-  std::string out;
-  PutU8(&out, kProtocolVersion);
-  PutU8(&out, static_cast<uint8_t>(resp.code));
-  PutU32(&out, resp.retry_after_ms);
-  PutU64(&out, resp.snapshot_version);
-  PutU32(&out, static_cast<uint32_t>(resp.error.size()));
-  out += resp.error;
-  PutU32(&out, static_cast<uint32_t>(resp.ids.size()));
-  for (qb::ObsId id : resp.ids) PutU32(&out, id);
-  PutU32(&out, static_cast<uint32_t>(resp.degrees.size()));
-  for (double d : resp.degrees) PutDouble(&out, d);
-  PutU32(&out, static_cast<uint32_t>(resp.records.size()));
-  for (const ScanRecord& rec : resp.records) {
-    PutU8(&out, rec.kind);
-    PutU32(&out, rec.a);
-    PutU32(&out, rec.b);
-    PutDouble(&out, rec.degree);
-  }
-  PutCursor(&out, resp.cursor);
-  PutU8(&out, resp.more ? 1 : 0);
-  PutU32(&out, static_cast<uint32_t>(resp.stats.size()));
-  for (uint64_t s : resp.stats) PutU64(&out, s);
-  PutU32(&out, static_cast<uint32_t>(resp.text.size()));
-  out += resp.text;
-  PutU64(&out, resp.request_id);
+  std::string out(ResponseBytes(resp), '\0');
+  StoreResponse(resp, out.data());
   return out;
+}
+
+void AppendResponseFrame(const Response& resp, std::string* out) {
+  const std::size_t size = ResponseBytes(resp);
+  const std::size_t at = out->size();
+  out->resize(at + 4 + size);
+  StoreResponse(resp, Store(out->data() + at, static_cast<uint32_t>(size)));
 }
 
 RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
@@ -149,37 +181,37 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
   if (!r.GetBytes(count, &resp.error)) return Malformed("truncated error");
   if (!r.GetU32(&count)) return Malformed("missing id count");
   if (count > r.Remaining() / 4) return Malformed("id count out of range");
-  resp.ids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t id;
-    if (!r.GetU32(&id)) return Malformed("truncated ids");
-    resp.ids.push_back(id);
+  const char* at = r.Take(std::size_t{count} * 4);
+  resp.ids.resize(count);
+  for (qb::ObsId& id : resp.ids) {
+    id = Load<uint32_t>(at);
+    at += 4;
   }
   if (!r.GetU32(&count)) return Malformed("missing degree count");
   if (count > r.Remaining() / 8) return Malformed("degree count out of range");
-  resp.degrees.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    double d;
-    if (!r.GetDouble(&d)) return Malformed("truncated degrees");
+  at = r.Take(std::size_t{count} * 8);
+  resp.degrees.resize(count);
+  for (double& d : resp.degrees) {
+    d = Load<double>(at);
+    at += 8;
     if (std::isnan(d)) return Malformed("degree is NaN");
-    resp.degrees.push_back(d);
   }
   if (!r.GetU32(&count)) return Malformed("missing record count");
   if (count > r.Remaining() / kScanRecordBytes) {
     return Malformed("record count out of range");
   }
-  resp.records.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ScanRecord rec;
-    if (!r.GetU8(&rec.kind) || !r.GetU32(&rec.a) || !r.GetU32(&rec.b) ||
-        !r.GetDouble(&rec.degree)) {
-      return Malformed("truncated record");
-    }
+  at = r.Take(std::size_t{count} * kScanRecordBytes);
+  resp.records.resize(count);
+  for (ScanRecord& rec : resp.records) {
+    rec.kind = static_cast<uint8_t>(*at);
+    rec.a = Load<uint32_t>(at + 1);
+    rec.b = Load<uint32_t>(at + 5);
+    rec.degree = Load<double>(at + 9);
+    at += kScanRecordBytes;
     if (rec.kind != 'F' && rec.kind != 'P' && rec.kind != 'C') {
       return Malformed("unknown record kind");
     }
     if (std::isnan(rec.degree)) return Malformed("record degree is NaN");
-    resp.records.push_back(rec);
   }
   if (!GetCursor(&r, &resp.cursor)) return Malformed("bad scan cursor");
   uint8_t more;
@@ -187,11 +219,11 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
   resp.more = more == 1;
   if (!r.GetU32(&count)) return Malformed("missing stats count");
   if (count > r.Remaining() / 8) return Malformed("stats count out of range");
-  resp.stats.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t s;
-    if (!r.GetU64(&s)) return Malformed("truncated stats");
-    resp.stats.push_back(s);
+  at = r.Take(std::size_t{count} * 8);
+  resp.stats.resize(count);
+  for (uint64_t& s : resp.stats) {
+    s = Load<uint64_t>(at);
+    at += 8;
   }
   if (!r.GetU32(&count)) return Malformed("missing text length");
   if (!r.GetBytes(count, &resp.text)) return Malformed("truncated text");

@@ -48,17 +48,17 @@ enum class Op : uint8_t {
   /// at most `Request::limit` records and never more than fit in one
   /// response frame (ScanRecordsPerFrame).
   kScan = 6,
-  /// Server statistics (snapshot sizes, admission counters).
+  /// Server statistics (snapshot sizes, shed and deadline counters).
   kStats = 7,
   /// Full Prometheus text exposition of the metrics registry
-  /// (Response::text). Cold; may bypass admission (DESIGN.md §6).
+  /// (Response::text). Cold; may bypass the shed bound (DESIGN.md §6).
   kMetrics = 8,
   /// JSON dump of the bounded ring of slowest recent requests
-  /// (Response::text). Cold; may bypass admission.
+  /// (Response::text). Cold; may bypass the shed bound.
   kSlowlog = 9,
   /// Chrome-trace JSON for an on-demand capture window of
-  /// `Request::limit` milliseconds (Response::text). Always admitted:
-  /// the capture occupies a worker for the window.
+  /// `Request::limit` milliseconds (Response::text). Counted like a lookup;
+  /// its connection waits out the window while the loop serves others.
   kTraceDump = 10,
 };
 
@@ -69,7 +69,8 @@ enum class Op : uint8_t {
 /// \brief Response status codes (the wire-level triage of a request).
 enum class RespCode : uint8_t {
   kOk = 0,
-  /// Admission queue full: retry after `retry_after_ms` (load shedding).
+  /// The serving loop already holds its bound of decoded requests: retry
+  /// after `retry_after_ms` (load shedding).
   kShed = 1,
   /// The request's deadline expired before or during evaluation.
   kDeadlineExceeded = 2,
@@ -94,7 +95,7 @@ struct Request {
   Op op = Op::kPing;
   /// Observation id for the point-lookup ops (ignored by ping/scan/stats).
   qb::ObsId target = 0;
-  /// Client deadline in milliseconds from admission; 0 means "server
+  /// Client deadline in milliseconds from decode; 0 means "server
   /// default". The server clamps it to its configured maximum.
   uint32_t deadline_ms = 0;
   /// Minimum partial-containment degree (kPartial only).
@@ -175,8 +176,12 @@ std::string EncodeRequest(const Request& req);
 /// Parses a frame payload into a Request. ParseError on any malformation.
 [[nodiscard]] Result<Request> DecodeRequest(const std::string& payload);
 
-/// Serializes `resp` into a frame payload.
+/// Serializes `resp` into a frame payload, sized once from its field counts.
 std::string EncodeResponse(const Response& resp);
+
+/// Appends one whole frame for `resp` to `*out`: the u32 length prefix, then
+/// the EncodeResponse payload, written in place without a second copy.
+void AppendResponseFrame(const Response& resp, std::string* out);
 
 /// Parses a frame payload into a Response. ParseError on any malformation.
 [[nodiscard]] Result<Response> DecodeResponse(const std::string& payload);

@@ -1,87 +1,112 @@
 #include "server/server.h"
 
 #include <errno.h>
-#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <thread>
 
 #include "base/hot.h"
 #include "core/relationship.h"
 #include "core/snapshot.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/observation_set.h"
+#include "util/fault.h"
 
 namespace rdfcube {
 namespace server {
 
 namespace {
 
-// Per-op RED instruments, indexed by wire op - 1. Names and help strings
-// live in this table (not at the registration call) so the set stays
-// greppable in one place; all follow rdfcube_server_<op>_<what>_<unit>.
+// Per-op RED instruments, indexed by wire op - 1. The names live in this
+// table (not at the registration call) so the set stays greppable in one
+// place; all follow rdfcube_server_<op>_<what>_<unit>.
 struct OpTelemetry {
   obs::Counter* requests = nullptr;
   obs::Histogram* latency = nullptr;
 };
 
-struct OpMetricSpec {
-  const char* requests_name;
-  const char* requests_help;
-  const char* latency_name;
-  const char* latency_help;
-};
-
 constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kTraceDump);
 
-constexpr OpMetricSpec kOpMetricSpecs[kNumOps] = {
-    {"rdfcube_server_ping_requests_total", "ping requests handled",
-     "rdfcube_server_ping_latency_us", "ping handling latency (us)"},
+constexpr const char* kOpMetricNames[kNumOps][2] = {
+    {"rdfcube_server_ping_requests_total", "rdfcube_server_ping_latency_us"},
     {"rdfcube_server_containers_requests_total",
-     "containers lookups handled", "rdfcube_server_containers_latency_us",
-     "containers handling latency (us)"},
-    {"rdfcube_server_contained_requests_total", "contained lookups handled",
-     "rdfcube_server_contained_latency_us", "contained handling latency (us)"},
+     "rdfcube_server_containers_latency_us"},
+    {"rdfcube_server_contained_requests_total",
+     "rdfcube_server_contained_latency_us"},
     {"rdfcube_server_complements_requests_total",
-     "complements lookups handled", "rdfcube_server_complements_latency_us",
-     "complements handling latency (us)"},
-    {"rdfcube_server_partial_requests_total", "partial lookups handled",
-     "rdfcube_server_partial_latency_us", "partial handling latency (us)"},
-    {"rdfcube_server_scan_requests_total", "bulk scans handled",
-     "rdfcube_server_scan_latency_us", "scan handling latency (us)"},
-    {"rdfcube_server_stats_requests_total", "stats requests handled",
-     "rdfcube_server_stats_latency_us", "stats handling latency (us)"},
-    {"rdfcube_server_metrics_requests_total", "metrics scrapes handled",
-     "rdfcube_server_metrics_latency_us", "metrics handling latency (us)"},
-    {"rdfcube_server_slowlog_requests_total", "slowlog dumps handled",
-     "rdfcube_server_slowlog_latency_us", "slowlog handling latency (us)"},
-    {"rdfcube_server_tracedump_requests_total", "trace captures handled",
-     "rdfcube_server_tracedump_latency_us", "tracedump handling latency (us)"},
+     "rdfcube_server_complements_latency_us"},
+    {"rdfcube_server_partial_requests_total",
+     "rdfcube_server_partial_latency_us"},
+    {"rdfcube_server_scan_requests_total", "rdfcube_server_scan_latency_us"},
+    {"rdfcube_server_stats_requests_total", "rdfcube_server_stats_latency_us"},
+    {"rdfcube_server_metrics_requests_total",
+     "rdfcube_server_metrics_latency_us"},
+    {"rdfcube_server_slowlog_requests_total",
+     "rdfcube_server_slowlog_latency_us"},
+    {"rdfcube_server_tracedump_requests_total",
+     "rdfcube_server_tracedump_latency_us"},
 };
 
 const OpTelemetry& OpTelemetryFor(Op op) {
   static const std::array<OpTelemetry, kNumOps> table = [] {
     std::array<OpTelemetry, kNumOps> t{};
     for (std::size_t i = 0; i < kNumOps; ++i) {
-      const OpMetricSpec& spec = kOpMetricSpecs[i];
-      t[i].requests =
-          &obs::DefaultCounter(spec.requests_name, spec.requests_help);
-      t[i].latency =
-          &obs::DefaultHistogram(spec.latency_name, spec.latency_help,
-                                 obs::ExponentialBuckets(1.0, 4.0, 12));
+      const std::string op = OpName(static_cast<Op>(i + 1));
+      const std::string help[] = {op + " requests handled",
+                                  op + " handling latency (us)"};
+      t[i].requests = &obs::DefaultCounter(kOpMetricNames[i][0], help[0]);
+      t[i].latency = &obs::DefaultHistogram(
+          kOpMetricNames[i][1], help[1], obs::ExponentialBuckets(1.0, 4.0, 12));
     }
     return t;
   }();
   const std::size_t index = static_cast<std::size_t>(op) - 1;
   return table[index < kNumOps ? index : 0];
+}
+
+// Instruments of the request path, shared by every loop.
+struct ServeTelemetry {
+  obs::Counter& requests;
+  obs::Histogram& latency;
+  obs::Histogram& queue_wait;
+  obs::Gauge& in_flight;
+  obs::Counter& shed;
+  obs::Counter& deadline_expired;
+  obs::Counter& io_errors;
+};
+
+const ServeTelemetry& Telemetry() {
+  static const ServeTelemetry telemetry{
+      obs::DefaultCounter("rdfcube_server_requests_total", "Requests evaluated"),
+      obs::DefaultHistogram("rdfcube_server_request_latency_us",
+                            "Evaluate + encode + send latency (µs)",
+                            obs::ExponentialBuckets(1.0, 4.0, 12)),
+      obs::DefaultHistogram("rdfcube_server_queue_wait_us",
+                            "Decode-to-evaluation wait (µs)",
+                            obs::ExponentialBuckets(1.0, 4.0, 12)),
+      obs::DefaultGauge("rdfcube_server_in_flight_requests", "Open requests"),
+      obs::DefaultCounter("rdfcube_server_shed_total", "Requests shed"),
+      obs::DefaultCounter("rdfcube_server_deadline_expired_total",
+                          "Requests that missed their deadline"),
+      obs::DefaultCounter("rdfcube_server_io_errors_total",
+                          "Connections dropped on a failed or stalled write"),
+  };
+  return telemetry;
 }
 
 // Observability payloads must fit one response frame; rather than truncate
@@ -93,12 +118,195 @@ void ClampObsText(uint32_t max_frame_bytes, Response* resp) {
   resp->error = "observability payload exceeds frame limit";
 }
 
+// The u32 little-endian length prefix at `p`.
+uint32_t FrameSize(const char* p) {
+  uint32_t size = 0;
+  for (int i = 0; i < 4; ++i) {
+    size |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return size;
+}
+
+// CLOCK_REALTIME seconds, the clock of SO_TIMESTAMPNS receive stamps.
+double RealtimeNow() {
+  struct timespec now;
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  return now.tv_sec + now.tv_nsec * 1e-9;
+}
+
+double StampOf(const struct cmsghdr* stamp_msg) {
+  struct timespec stamp;
+  std::memcpy(&stamp, CMSG_DATA(stamp_msg), sizeof(stamp));
+  return stamp.tv_sec + stamp.tv_nsec * 1e-9;
+}
+
+// Milliseconds for poll() to wait `seconds` (infinite => -1), rounded up so
+// a timer about to fire is not polled in a busy loop.
+int PollTimeoutMs(double seconds) {
+  if (std::isinf(seconds)) return -1;
+  return static_cast<int>(std::min(std::ceil(seconds * 1000.0), 1e9));
+}
+
 }  // namespace
 
+// One client connection, owned by the loop that accepted it.
+struct Server::Connection {
+  explicit Connection(int accepted) : fd(accepted) {}
+
+  bool Flushed() const { return out_off == out.size(); }
+
+  // A whole frame, or a length prefix over the limit, is buffered.
+  bool HasFrame(uint32_t max_frame_bytes) const {
+    if (in.size() - in_off < 4) return false;
+    const uint32_t size = FrameSize(in.data() + in_off);
+    return size > max_frame_bytes || in.size() - in_off >= size + size_t{4};
+  }
+
+  // Appends what the socket holds to `in` (compacting decoded frames away
+  // first) and stamps when its oldest byte arrived; false when the peer
+  // closed or the read failed.
+  bool Read(std::size_t cap) {
+    in.erase(0, in_off);
+    in_off = 0;
+    char buf[4096];
+    alignas(struct cmsghdr) char control[CMSG_SPACE(sizeof(struct timespec))];
+    struct iovec iov = {buf, sizeof(buf)};
+    for (;;) {
+      struct msghdr msg = {nullptr, 0, &iov, 1, control, sizeof(control), 0};
+      const ssize_t n = ::recvmsg(fd.get(), &msg, 0);
+      if (n > 0) {
+        // The receive stamp is the only control message enabled.
+        const struct cmsghdr* c = CMSG_FIRSTHDR(&msg);
+        if (in.empty()) arrived = c != nullptr ? StampOf(c) : RealtimeNow();
+        in.append(buf, static_cast<std::size_t>(n));
+        // Past `cap`, decoding triages what is buffered (an oversize prefix
+        // earns kBadRequest and a hangup). A short read took everything
+        // there was; poll reports whatever arrives next.
+        if (in.size() > cap || static_cast<std::size_t>(n) < sizeof(buf)) {
+          return true;
+        }
+        continue;
+      }
+      if (n == 0) return false;  // peer closed
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno != EINTR) return false;
+    }
+  }
+
+  // Sends what the kernel takes without blocking; false when the stream
+  // died. An unsent tail waits for POLLOUT.
+  bool Flush() {
+    const std::size_t before = out_off;
+    while (out_off < out.size()) {
+      const ssize_t n = ::send(fd.get(), out.data() + out_off,
+                               out.size() - out_off, MSG_NOSIGNAL);
+      if (n > 0) {
+        out_off += static_cast<std::size_t>(n);
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (out_off != before) since_progress.Restart();
+        return true;
+      } else if (errno != EINTR) {
+        return false;
+      }
+    }
+    out.clear();
+    out_off = 0;
+    return true;
+  }
+
+  // Encodes `resp` as one frame behind whatever is unsent and sends what
+  // the kernel takes; a failed send (or injected write fault) drops it.
+  void Send(const Response& resp) {
+    if (dead) return;
+    if (FaultTriggered(kFaultNetWrite)) return Drop();
+    if (Flushed()) since_progress.Restart();
+    AppendResponseFrame(resp, &out);
+    if (!Flush()) Drop();
+  }
+
+  void Drop() {
+    if (!dead) Telemetry().io_errors.Increment();
+    dead = true;
+  }
+
+  Fd fd;
+  std::string in;            // received bytes; the first `in_off` decoded
+  std::size_t in_off = 0;
+  double arrived = 0.0;      // CLOCK_REALTIME receipt of the oldest of `in`
+  std::string out;           // encoded frames; the first `out_off` sent
+  std::size_t out_off = 0;
+  Stopwatch since_progress;  // restarted when output starts or advances
+  bool waiting = false;      // a decoded request is not answered yet
+  bool closing = false;      // hang up once `out` is flushed
+  bool dead = false;         // hang up now
+};
+
+// A request between decode and evaluation.
+struct Server::Decoded {
+  Connection* conn;
+  Request req;
+  Deadline deadline;       // runs from the frame's arrival
+  Stopwatch since_decode;  // queue-wait metric
+};
+
+// One event loop: its thread, its connections and its poll set.
+struct Server::Loop {
+  // pfds[0] is the wake fd, pfds[1] the listener, pfds[kFirstConn + i]
+  // conns[i]: rebuilt when the connection set changes, a connection's
+  // interest updated in place.
+  static constexpr std::size_t kFirstConn = 2;
+
+  // A parked kTraceDump, answered when `window` closes.
+  struct Capture {
+    Decoded request;
+    Stopwatch started;
+    Deadline window;
+    uint64_t snapshot_version;
+  };
+
+  // A pending tail waits for POLLOUT, a parked request for nothing, the
+  // rest for requests.
+  static struct pollfd Interest(const Connection& conn) {
+    return {conn.waiting ? -1 : conn.fd.get(),
+            static_cast<short>(conn.Flushed() ? POLLIN : POLLOUT), 0};
+  }
+
+  void RebuildPollSet(int listener, bool draining) {
+    // Draining: the wake fd stays readable and no connection is accepted.
+    pfds.resize(kFirstConn + conns.size());
+    pfds[0] = {draining ? -1 : wake.get(), POLLIN, 0};
+    pfds[1] = {draining ? -1 : listener, POLLIN, 0};
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      pfds[kFirstConn + i] = Interest(*conns[i]);
+    }
+    pfds_stale = false;
+  }
+
+  // Takes one pending connection; the loops race for the rest.
+  void Accept(int listener) {
+    const int fd =
+        ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) return;
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    (void)::setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof(one));
+    conns.push_back(std::make_unique<Connection>(fd));
+    pfds_stale = true;
+  }
+
+  Fd wake;  // eventfd, written once by Stop()
+  std::vector<std::unique_ptr<Connection>> conns;
+  std::vector<struct pollfd> pfds;
+  bool pfds_stale = true;
+  std::vector<Decoded> decoded;  // this wakeup's kept requests
+  std::size_t rotation = 0;      // where this wakeup's decode pass starts
+  std::string payload;           // scratch copy of the frame being decoded
+  std::optional<Capture> capture;
+  std::thread thread;  // last: runs over the members above
+};
+
 Server::Server(const ServerOptions& options)
-    : options_(options),
-      queue_(options.max_queue),
-      slowlog_(options.slowlog_capacity) {}
+    : options_(options), slowlog_(options.slowlog_capacity) {}
 
 Server::~Server() { Stop(); }
 
@@ -111,19 +319,18 @@ Status Server::Start(SnapshotPtr initial) {
 
   RDFCUBE_ASSIGN_OR_RETURN(listener_, ListenOn(options_.port));
   RDFCUBE_ASSIGN_OR_RETURN(port_, LocalPort(listener_));
-
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) {
-    return Status::IOError(std::string("pipe2: ") + std::strerror(errno));
-  }
-  wake_read_ = Fd(pipe_fds[0]);
-  wake_write_ = Fd(pipe_fds[1]);
-
-  reactor_ = std::thread([this] { ReactorLoop(); });
-  workers_.reserve(options_.num_workers == 0 ? 1 : options_.num_workers);
   for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.num_workers);
        ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    auto loop = std::make_unique<Loop>();
+    loop->wake = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+    if (!loop->wake.valid()) {
+      return Status::IOError(std::string("eventfd: ") + std::strerror(errno));
+    }
+    loop->decoded.reserve(std::min<std::size_t>(options_.max_queue, 1024));
+    loops_.push_back(std::move(loop));
+  }
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    loop->thread = std::thread([this, raw = loop.get()] { RunLoop(raw); });
   }
   return Status::OK();
 }
@@ -133,268 +340,205 @@ void Server::Stop() {
   bool expected = false;
   if (!stopped_.compare_exchange_strong(expected, true)) return;
   obs::TraceSpan span("server/drain");
-  // Phase 1: stop admitting. New frames get kShuttingDown inline; jobs
-  // already admitted drain through the workers.
+  // Each loop answers what it decoded, refuses new frames, flushes, exits.
   draining_.store(true, std::memory_order_release);
-  WakeReactor();
-  queue_.Close();
-  for (std::thread& w : workers_) {
-    if (w.joinable()) w.join();
+  const uint64_t one = 1;
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    (void)!::write(loop->wake.get(), &one, sizeof(one));
   }
-  // Phase 2: every response is written; tear the reactor down.
-  reactor_exit_.store(true, std::memory_order_release);
-  WakeReactor();
-  if (reactor_.joinable()) reactor_.join();
-}
-
-void Server::WakeReactor() {
-  const char byte = 1;
-  // Best effort: a full pipe already guarantees a pending wakeup.
-  (void)!::write(wake_write_.get(), &byte, 1);
-}
-
-void Server::ReactorLoop() {
-  std::vector<struct pollfd> pfds;
-  std::vector<int> pfd_conn;  // parallel: conn fd per pollfd (-1 = special)
-  for (;;) {
-    if (reactor_exit_.load(std::memory_order_acquire)) break;
-
-    pfds.clear();
-    pfd_conn.clear();
-    pfds.push_back({wake_read_.get(), POLLIN, 0});
-    pfd_conn.push_back(-1);
-    const bool draining = draining_.load(std::memory_order_acquire);
-    if (!draining && listener_.valid()) {
-      pfds.push_back({listener_.get(), POLLIN, 0});
-      pfd_conn.push_back(-2);
-    }
-    for (const auto& [fd, conn] : conns_) {
-      if (conn.in_flight) continue;
-      pfds.push_back({fd, POLLIN, 0});
-      pfd_conn.push_back(fd);
-    }
-
-    const int rc = ::poll(pfds.data(), pfds.size(), 100);
-    if (rc < 0 && errno != EINTR) break;
-
-    // Worker handbacks first: a completed connection may already have the
-    // next request buffered.
-    std::vector<std::pair<int, bool>> done;
-    {
-      MutexLock lock(&completions_mu_);
-      done.swap(completions_);
-    }
-    for (const auto& [fd, ok] : done) {
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
-      it->second.in_flight = false;
-      if (!ok || it->second.closing || !ProcessFrames(fd, &it->second)) {
-        conns_.erase(it);
-      }
-    }
-
-    if (rc <= 0) continue;
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
-      if (pfds[i].revents == 0) continue;
-      if (pfd_conn[i] == -1) {
-        char buf[64];
-        while (::read(wake_read_.get(), buf, sizeof(buf)) > 0) {
-        }
-        continue;
-      }
-      if (pfd_conn[i] == -2) {
-        for (;;) {
-          const int cfd = ::accept4(listener_.get(), nullptr, nullptr,
-                                    SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (cfd < 0) break;
-          Connection conn;
-          conn.fd = Fd(cfd);
-          conns_.emplace(cfd, std::move(conn));
-        }
-        continue;
-      }
-      auto it = conns_.find(pfd_conn[i]);
-      if (it == conns_.end() || it->second.in_flight) continue;
-      if (!DrainReadable(&it->second) ||
-          !ProcessFrames(it->first, &it->second)) {
-        conns_.erase(it);
-      }
-    }
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->thread.joinable()) loop->thread.join();
   }
-  // Shutdown: every worker has joined by now, so no fd is in flight.
-  conns_.clear();
   listener_.Close();
 }
 
-bool Server::DrainReadable(Connection* conn) {
-  char buf[4096];
+void Server::RunLoop(Loop* loop) {
+  constexpr std::size_t kFirstConn = Loop::kFirstConn;
+  const double write_timeout = options_.write_timeout_seconds;
+  bool draining = false;
+  Deadline drain_budget;
+  int timeout_ms = -1;
   for (;;) {
-    const ssize_t n = ::recv(conn->fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->inbuf.append(buf, static_cast<std::size_t>(n));
-      // Refuse to buffer unboundedly: stop reading and let ProcessFrames
-      // triage what is buffered (an oversize prefix earns kBadRequest and a
-      // hangup; complete frames are consumed, freeing the buffer).
-      if (conn->inbuf.size() > options_.max_frame_bytes + 4u) return true;
-      continue;
+    if (loop->pfds_stale) loop->RebuildPollSet(listener_.get(), draining);
+    const std::size_t polled = loop->pfds.size() - kFirstConn;
+    const int rc = ::poll(loop->pfds.data(), loop->pfds.size(), timeout_ms);
+    if (rc < 0 && errno != EINTR) {
+      obs::LogError("server", "poll failed",
+                    {obs::Field("errno", std::strerror(errno))});
+      break;
     }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    return false;
+    if (!draining && draining_.load(std::memory_order_acquire)) {
+      draining = true;
+      drain_budget = Deadline(write_timeout);
+      loop->pfds_stale = true;
+    }
+
+    // Read requests and flush parked tails.
+    for (std::size_t i = 0; rc > 0 && i < polled; ++i) {
+      if (loop->pfds[kFirstConn + i].revents == 0) continue;
+      Connection* conn = loop->conns[i].get();
+      if (!conn->Flushed()) {
+        if (!conn->Flush()) conn->Drop();
+      } else if (!conn->Read(options_.max_frame_bytes + 4u)) {
+        conn->dead = true;
+      }
+    }
+    if (!draining && rc > 0 && (loop->pfds[1].revents & POLLIN) != 0) {
+      loop->Accept(listener_.get());
+    }
+
+    // Decode one frame per idle connection, then evaluate in decode order.
+    // The start rotates per wakeup, so no connection is always the one
+    // shed or the one that waits.
+    const std::size_t num_conns = loop->conns.size();
+    for (std::size_t k = 0; k < num_conns; ++k) {
+      Connection* conn = loop->conns[(loop->rotation + k) % num_conns].get();
+      if (!conn->dead && !conn->closing && !conn->waiting &&
+          conn->Flushed()) {
+        DecodeFrame(loop, conn, draining);
+      }
+    }
+    ++loop->rotation;
+    for (Decoded& decoded : loop->decoded) HandleRequest(loop, &decoded);
+    loop->decoded.clear();
+    if (loop->capture.has_value() &&
+        (draining || loop->capture->window.Expired())) {
+      FinishCapture(loop);
+    }
+
+    // Sweep: hang up what is done, refresh interest, arm the next timer.
+    double wait = loop->capture.has_value()
+                      ? loop->capture->window.RemainingSeconds()
+                      : std::numeric_limits<double>::infinity();
+    bool unflushed = false;
+    for (std::size_t i = 0; i < loop->conns.size(); ++i) {
+      Connection* conn = loop->conns[i].get();
+      if (!conn->Flushed() && !conn->dead) {
+        const double stalled = conn->since_progress.ElapsedSeconds();
+        if (stalled > write_timeout) {
+          conn->Drop();
+        } else {
+          unflushed = true;
+          wait = std::min(wait, write_timeout - stalled);
+        }
+      }
+      if (conn->closing && conn->Flushed()) conn->dead = true;
+      if (!conn->dead && !conn->closing && !conn->waiting &&
+          conn->Flushed() && conn->HasFrame(options_.max_frame_bytes)) {
+        wait = 0.0;  // a pipelined frame is already buffered
+      }
+      if (!loop->pfds_stale) loop->pfds[kFirstConn + i] = Loop::Interest(*conn);
+    }
+    if (std::erase_if(loop->conns, [](const auto& c) { return c->dead; })) {
+      loop->pfds_stale = true;
+    }
+    if (draining) {
+      if ((!unflushed && !loop->capture.has_value()) ||
+          drain_budget.Expired()) {
+        break;
+      }
+      wait = std::min(wait, drain_budget.RemainingSeconds());
+    }
+    timeout_ms = PollTimeoutMs(wait);
   }
+  if (loop->capture.has_value()) FinishCapture(loop);  // poll failed
+  loop->conns.clear();
 }
 
-bool Server::ProcessFrames(int fd, Connection* conn) {
-  while (!conn->in_flight) {
-    if (conn->inbuf.size() < 4) return true;
-    uint32_t size = 0;
-    for (int i = 0; i < 4; ++i) {
-      size |= static_cast<uint32_t>(
-                  static_cast<unsigned char>(conn->inbuf[i]))
-              << (8 * i);
-    }
-    if (size > options_.max_frame_bytes) {
-      Response resp;
-      resp.code = RespCode::kBadRequest;
-      resp.error = "frame exceeds limit";
-      RespondInline(conn, resp);
-      return false;
-    }
-    if (conn->inbuf.size() < 4u + size) return true;
-    const std::string payload = conn->inbuf.substr(4, size);
-    conn->inbuf.erase(0, 4u + size);
-
-    if (draining_.load(std::memory_order_acquire)) {
-      Response resp;
-      resp.code = RespCode::kShuttingDown;
-      resp.error = "server is draining";
-      RespondInline(conn, resp);
-      return false;
-    }
-    Result<Request> decoded = DecodeRequest(payload);
+void Server::DecodeFrame(Loop* loop, Connection* conn, bool draining) {
+  if (!conn->HasFrame(options_.max_frame_bytes)) return;
+  const char* at = conn->in.data() + conn->in_off;
+  const uint32_t size = FrameSize(at);
+  Response resp;
+  if (size > options_.max_frame_bytes) {
+    resp.code = RespCode::kBadRequest;
+    resp.error = "frame exceeds limit";
+  } else if (draining) {
+    resp.code = RespCode::kShuttingDown;
+    resp.error = "server is draining";
+  } else {
+    loop->payload.assign(at + 4, size);
+    conn->in_off += size + size_t{4};
+    Result<Request> decoded = DecodeRequest(loop->payload);
     if (!decoded.ok()) {
       // Protocol desync: answer, then drop the stream (resynchronizing a
       // length-prefixed stream after garbage is guesswork).
-      Response resp;
       resp.code = RespCode::kBadRequest;
       resp.error = decoded.status().message();
-      RespondInline(conn, resp);
-      return false;
-    }
-    const Request req = std::move(decoded).value();
-    if (options_.obs_ops_bypass_admission &&
-        (req.op == Op::kMetrics || req.op == Op::kSlowlog)) {
-      // Admission-exempt scrape path: a saturated server that sheds every
-      // point lookup still answers its metrics and slowlog endpoints.
-      RespondObsInline(conn, req);
-      continue;
-    }
-    double seconds = req.deadline_ms == 0
-                         ? options_.default_deadline_seconds
-                         : static_cast<double>(req.deadline_ms) / 1000.0;
-    seconds = std::min(seconds, options_.max_deadline_seconds);
-    const Deadline deadline(seconds);  // clock starts at admission
-    const Stopwatch queued;            // queue-wait metric starts here
-    switch (queue_.TryPush([this, fd, req, deadline, queued] {
-      HandleJob(fd, req, deadline, queued);
-    })) {
-      case Admission::kAdmitted:
-        conn->in_flight = true;
-        break;
-      case Admission::kShed: {
-        shed_total_.fetch_add(1, std::memory_order_relaxed);
-        Response resp;
-        resp.code = RespCode::kShed;
-        resp.retry_after_ms = options_.retry_after_ms;
-        resp.error = "admission queue full";
-        resp.request_id = req.request_id;
-        RespondInline(conn, resp);
-        break;  // connection survives; the client backs off and retries
-      }
-      case Admission::kClosed: {
-        Response resp;
-        resp.code = RespCode::kShuttingDown;
-        resp.error = "server is draining";
-        resp.request_id = req.request_id;
-        RespondInline(conn, resp);
-        return false;
-      }
+    } else if (options_.obs_ops_bypass_admission &&
+               (decoded->op == Op::kMetrics || decoded->op == Op::kSlowlog)) {
+      // Exempt scrape: a server that sheds every lookup still answers its
+      // metrics and slowlog. No deadline and no requests_total_ (like every
+      // inline answer), but the per-op counter ticks, after rendering.
+      const SnapshotPtr snap = store_.Current();
+      if (snap != nullptr) resp.snapshot_version = snap->version();
+      resp.request_id = decoded->request_id;
+      EvaluateObs(decoded->op, &resp);
+      OpTelemetryFor(decoded->op).requests->Increment();
+      return conn->Send(resp);
+    } else if (loop->decoded.size() >=
+               std::max<std::size_t>(1, options_.max_queue)) {
+      shed_total_.fetch_add(1, std::memory_order_relaxed);
+      Telemetry().shed.Increment();
+      resp.code = RespCode::kShed;
+      resp.retry_after_ms = options_.retry_after_ms;
+      resp.error = "server at capacity";
+      resp.request_id = decoded->request_id;
+      return conn->Send(resp);  // the client backs off and retries
+    } else {
+      double seconds = decoded->deadline_ms == 0
+                           ? options_.default_deadline_seconds
+                           : static_cast<double>(decoded->deadline_ms) / 1000.0;
+      // The budget runs from the frame's arrival: time it sat in the socket
+      // while this loop served others counts against it.
+      seconds = std::min(seconds, options_.max_deadline_seconds) -
+                std::max(0.0, RealtimeNow() - conn->arrived);
+      loop->decoded.push_back({conn, decoded.value(),
+                               Deadline(std::max(0.0, seconds)), Stopwatch()});
+      conn->waiting = true;
+      return;
     }
   }
-  return true;
+  conn->Send(resp);
+  conn->closing = true;
 }
 
-void Server::RespondInline(Connection* conn, const Response& resp) {
-  const Deadline write_deadline(options_.write_timeout_seconds);
-  (void)WriteFrame(conn->fd.get(), EncodeResponse(resp), write_deadline);
-}
-
-void Server::WorkerLoop() {
-  for (;;) {
-    // Unlimited pop deadline: Close() is the wakeup that ends the loop.
-    std::optional<std::function<void()>> job = queue_.Pop(Deadline());
-    if (!job.has_value()) {
-      if (queue_.closed()) return;
-      continue;
-    }
-    (*job)();
-  }
-}
-
-void Server::HandleJob(int fd, const Request& req, const Deadline& deadline,
-                       const Stopwatch& queued) {
+void Server::HandleRequest(Loop* loop, Decoded* decoded) {
   obs::TraceSpan span("server/handle");
-  static obs::Counter& requests = obs::DefaultCounter(
-      "rdfcube_server_requests_total", "Requests evaluated by workers");
-  static obs::Histogram& latency = obs::DefaultHistogram(
-      "rdfcube_server_request_latency_us",
-      "Worker-side request handling latency (µs)",
-      obs::ExponentialBuckets(1.0, 4.0, 12));
-  static obs::Histogram& queue_wait = obs::DefaultHistogram(
-      "rdfcube_server_queue_wait_us",
-      "Admission-to-worker-pickup wait (µs)",
-      obs::ExponentialBuckets(1.0, 4.0, 12));
-  static obs::Gauge& in_flight = obs::DefaultGauge(
-      "rdfcube_server_in_flight_requests",
-      "Requests currently held by workers");
-  queue_wait.Observe(queued.ElapsedMicros());
-  in_flight.Increment();
-  requests.Increment();
+  const Stopwatch started;
+  const ServeTelemetry& telemetry = Telemetry();
+  telemetry.queue_wait.Observe(decoded->since_decode.ElapsedMicros());
+  telemetry.in_flight.Increment();
+  telemetry.requests.Increment();
   requests_total_.fetch_add(1, std::memory_order_relaxed);
+  decoded->conn->waiting = false;
 
   // One store lookup per request: the snapshot pointer is pinned here so the
   // hot Evaluate kernel below never touches the mutex-guarded store.
   const SnapshotPtr snap = store_.Current();
-  const Response resp = Evaluate(req, snap, deadline);
+  if (decoded->req.op == Op::kTraceDump &&
+      StartCapture(loop, *decoded, snap, started)) {
+    return;  // FinishCapture answers when the window closes
+  }
+  const Response resp = Evaluate(decoded->req, snap, decoded->deadline);
   if (resp.code == RespCode::kDeadlineExceeded) {
-    static obs::Counter& expired = obs::DefaultCounter(
-        "rdfcube_server_deadline_expired_total",
-        "Requests that missed their deadline");
-    expired.Increment();
+    telemetry.deadline_expired.Increment();
     deadline_expired_total_.fetch_add(1, std::memory_order_relaxed);
   }
+  Complete(*decoded, resp, started);
+}
 
-  const Deadline write_deadline(options_.write_timeout_seconds);
-  const Status wrote = WriteFrame(fd, EncodeResponse(resp), write_deadline);
-  if (!wrote.ok()) {
-    static obs::Counter& io_errors = obs::DefaultCounter(
-        "rdfcube_server_io_errors_total", "Response writes that failed");
-    io_errors.Increment();
-  }
-  const double handle_us = span.ElapsedSeconds() * 1e6;
-  latency.Observe(handle_us);
-  RecordOpTelemetry(req, resp, deadline, handle_us);
-  in_flight.Decrement();
-  {
-    MutexLock lock(&completions_mu_);
-    completions_.emplace_back(fd, wrote.ok());
-  }
-  WakeReactor();
+void Server::Complete(const Decoded& decoded, const Response& resp,
+                      const Stopwatch& started) {
+  decoded.conn->Send(resp);
+  const double handle_us = started.ElapsedMicros();
+  Telemetry().latency.Observe(handle_us);
+  RecordOpTelemetry(decoded.req, resp, decoded.deadline, handle_us);
+  Telemetry().in_flight.Decrement();
 }
 
 // Cold epilogue: per-op RED attribution and the slowlog entry. Runs after
-// the response is written so it never adds to client-visible latency.
+// the response is sent so it never adds to client-visible latency.
 RDFCUBE_COLD void Server::RecordOpTelemetry(const Request& req,
                                             const Response& resp,
                                             const Deadline& deadline,
@@ -500,13 +644,9 @@ RDFCUBE_HOT Response Server::Evaluate(const Request& req,
       EvaluateStats(snap, &resp);
       break;
     case Op::kMetrics:
-      EvaluateMetrics(&resp);
-      break;
     case Op::kSlowlog:
-      EvaluateSlowlog(&resp);
-      break;
     case Op::kTraceDump:
-      EvaluateTraceDump(req, deadline, &resp);
+      EvaluateObs(req.op, &resp);
       break;
   }
   return resp;
@@ -530,61 +670,54 @@ RDFCUBE_COLD void Server::EvaluateStats(const SnapshotPtr& snap,
   resp->stats[kStatsReloadFailures] = store_.reload_failures();
 }
 
-// Scrape path: snapshots the registry under its mutex — cold so the lock
-// fact never reaches Evaluate's hot summary.
-RDFCUBE_COLD void Server::EvaluateMetrics(Response* resp) {
+// The Prometheus scrape, the slowlog, or a trace collector someone else
+// enabled (dumped as-is, never toggled). Cold: the registry and slowlog
+// locks stay out of Evaluate's hot summary.
+RDFCUBE_COLD void Server::EvaluateObs(Op op, Response* resp) {
   resp->text =
-      obs::MetricsToPrometheus(obs::MetricsRegistry::Global().Snapshot());
+      op == Op::kMetrics
+          ? obs::MetricsToPrometheus(obs::MetricsRegistry::Global().Snapshot())
+      : op == Op::kSlowlog ? slowlog_.ToJson()
+                           : obs::TraceCollector::Global().ChromeTraceJson();
   ClampObsText(options_.max_frame_bytes, resp);
 }
 
-RDFCUBE_COLD void Server::EvaluateSlowlog(Response* resp) {
-  resp->text = slowlog_.ToJson();
-  ClampObsText(options_.max_frame_bytes, resp);
-}
-
-// On-demand capture: when no external capture (bench harness, stats
-// --report) owns the collector, enable it for a bounded window — sleeping
-// on the worker thread, which is why kTraceDump always rides admission —
-// then dump Chrome-trace JSON. An externally-enabled collector is dumped
-// as-is, never toggled.
-RDFCUBE_COLD void Server::EvaluateTraceDump(const Request& req,
-                                            const Deadline& deadline,
-                                            Response* resp) {
+// On-demand capture for a window bounded by the request's limit (default
+// 100 ms), `max_trace_window_ms` and its deadline; the window is the loop's
+// poll timer. Expired, snapshot-less and external captures go to Evaluate.
+RDFCUBE_COLD bool Server::StartCapture(Loop* loop, const Decoded& decoded,
+                                       const SnapshotPtr& snap,
+                                       const Stopwatch& started) {
   obs::TraceCollector& collector = obs::TraceCollector::Global();
-  if (!collector.enabled()) {
-    uint32_t window_ms = req.limit == 0 ? 100u : req.limit;
-    window_ms = std::min(window_ms, options_.max_trace_window_ms);
-    const double budget_ms = deadline.RemainingSeconds() * 1000.0;
-    if (budget_ms < static_cast<double>(window_ms)) {
-      window_ms = budget_ms > 0.0 ? static_cast<uint32_t>(budget_ms) : 0u;
-    }
-    collector.Enable(1u << 12);
-    std::this_thread::sleep_for(std::chrono::milliseconds(window_ms));
-    resp->text = collector.ChromeTraceJson();
-    collector.Disable();
-  } else {
-    resp->text = collector.ChromeTraceJson();
+  if (collector.enabled() || snap == nullptr || decoded.deadline.Expired()) {
+    return false;
   }
-  ClampObsText(options_.max_frame_bytes, resp);
+  uint32_t window_ms = decoded.req.limit == 0 ? 100u : decoded.req.limit;
+  window_ms = std::min(window_ms, options_.max_trace_window_ms);
+  const double budget_ms = decoded.deadline.RemainingSeconds() * 1000.0;
+  if (budget_ms < static_cast<double>(window_ms)) {
+    window_ms = budget_ms > 0.0 ? static_cast<uint32_t>(budget_ms) : 0u;
+  }
+  collector.Enable(1u << 12);
+  loop->capture.emplace(Loop::Capture{
+      decoded, started, Deadline(static_cast<double>(window_ms) / 1000.0),
+      snap->version()});
+  decoded.conn->waiting = true;
+  return true;
 }
 
-// Reactor-side scrape: no admission, no deadline, no requests_total_
-// accounting (consistent with the other inline responses) — but the per-op
-// counter still ticks so scrape traffic stays attributable.
-RDFCUBE_COLD void Server::RespondObsInline(Connection* conn,
-                                           const Request& req) {
+RDFCUBE_COLD void Server::FinishCapture(Loop* loop) {
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
+  const Loop::Capture& capture = *loop->capture;
   Response resp;
-  resp.request_id = req.request_id;
-  const SnapshotPtr snap = store_.Current();
-  if (snap != nullptr) resp.snapshot_version = snap->version();
-  if (req.op == Op::kMetrics) {
-    EvaluateMetrics(&resp);
-  } else {
-    EvaluateSlowlog(&resp);
-  }
-  OpTelemetryFor(req.op).requests->Increment();
-  RespondInline(conn, resp);
+  resp.request_id = capture.request.req.request_id;
+  resp.snapshot_version = capture.snapshot_version;
+  resp.text = collector.ChromeTraceJson();
+  collector.Disable();
+  ClampObsText(options_.max_frame_bytes, &resp);
+  capture.request.conn->waiting = false;
+  Complete(capture.request, resp, capture.started);
+  loop->capture.reset();
 }
 
 }  // namespace server

@@ -1,15 +1,12 @@
-// The relationship server (DESIGN.md §6): reactor + bounded worker pool
-// over the published RelationshipSnapshot.
-//
-// One reactor thread owns every connection: it accepts, accumulates frames,
-// and either admits a decoded request to the AdmissionQueue (bounded; full
-// queue => inline kShed response with retry-after) or answers protocol-level
-// failures inline. Worker threads pop admitted jobs, honor the request
-// deadline (expired => kDeadlineExceeded without touching the kernels),
-// query the current snapshot, and write the response; the reactor resumes
-// polling the connection afterwards (one outstanding request per
-// connection). Stop() drains: new requests get kShuttingDown, admitted ones
-// finish, then threads join and connections close.
+// The relationship server (DESIGN.md §6): N event loops over the published
+// RelationshipSnapshot. Each loop owns the connections it accepts and runs
+// every request on the thread that read it: read, decode, evaluate (an
+// expired deadline answers kDeadlineExceeded without touching the
+// kernels), encode into the connection's out buffer, send without
+// blocking. Past `max_queue` decoded requests per wakeup it sheds (kShed +
+// retry-after); a connection whose unsent tail makes no progress for
+// `write_timeout_seconds` is closed. Stop() drains: new frames get
+// kShuttingDown, decoded ones are answered and flushed, the loops join.
 
 #ifndef RDFCUBE_SERVER_SERVER_H_
 #define RDFCUBE_SERVER_SERVER_H_
@@ -18,16 +15,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
 #include "base/stopwatch.h"
-#include "base/thread_annotations.h"
 #include "qb/corpus.h"
-#include "server/admission.h"
 #include "server/protocol.h"
 #include "server/slowlog.h"
 #include "server/snapshot_store.h"
@@ -41,9 +34,11 @@ struct ServerOptions {
   /// TCP port to listen on (loopback); 0 = kernel-assigned, read back via
   /// Server::port().
   uint16_t port = 0;
-  /// Worker threads evaluating admitted requests.
+  /// Event loops (threads); each owns the connections it accepts and runs
+  /// their requests to completion. 0 is clamped to 1.
   std::size_t num_workers = 2;
-  /// Admission queue capacity; pushes beyond it are shed.
+  /// Decoded requests (at least 1) one loop keeps per wakeup between decode
+  /// and evaluation; frames decoded beyond it are shed (kShed + retry-after).
   std::size_t max_queue = 64;
   /// Backoff hint attached to kShed responses.
   uint32_t retry_after_ms = 50;
@@ -53,14 +48,15 @@ struct ServerOptions {
   double max_deadline_seconds = 10.0;
   /// Frame-size ceiling for reads and the advertised response cap.
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Budget for writing one response back to a client.
+  /// A connection whose pending response makes no progress for this long
+  /// is closed; also the drain's budget for flushing responses at Stop().
   double write_timeout_seconds = 5.0;
   /// Entries retained by the keep-the-slowest slowlog ring (0 disables).
   std::size_t slowlog_capacity = 64;
-  /// When true (default), kMetrics/kSlowlog answer inline from the reactor,
-  /// bypassing admission so a saturated or shedding server stays
-  /// scrapeable. kTraceDump always rides admission: its capture window
-  /// occupies a worker for up to `max_trace_window_ms`.
+  /// When true (default), kMetrics/kSlowlog are answered at decode, outside
+  /// the `max_queue` bound and `requests_total`, so a shedding server stays
+  /// scrapeable. kTraceDump is always evaluated; its connection waits out
+  /// the capture window while the loop serves the others.
   bool obs_ops_bypass_admission = true;
   /// Upper clamp on the kTraceDump capture window (request limit, ms).
   uint32_t max_trace_window_ms = 1000;
@@ -79,7 +75,7 @@ class Server {
 
   /// Binds the listener, publishes `initial` (may be null: the server then
   /// answers kInternal until the first successful Reload), and starts the
-  /// reactor + workers. FailedPrecondition when already started.
+  /// event loops. FailedPrecondition when already started.
   [[nodiscard]] Status Start(SnapshotPtr initial);
 
   /// The bound port (valid after Start; resolves port 0).
@@ -94,17 +90,18 @@ class Server {
   /// The publication store (tests inject snapshots / inspect versions).
   SnapshotStore& store() { return store_; }
 
-  /// Orderly drain: stop admitting, finish in-flight requests, join all
-  /// threads, close every connection. Idempotent; safe from a signal-driven
-  /// shutdown path (but NOT from a signal handler itself — flag and call).
+  /// Orderly drain: refuse new frames, answer and flush decoded requests,
+  /// close every connection, join the loops. Idempotent; safe from a
+  /// signal-driven shutdown path (but NOT from a signal handler itself —
+  /// flag and call).
   void Stop();
 
-  /// Total requests evaluated by workers (diagnostics/tests).
+  /// Total requests evaluated (diagnostics/tests).
   uint64_t requests_total() const {
     return requests_total_.load(std::memory_order_relaxed);
   }
 
-  /// Requests shed at admission (diagnostics/tests).
+  /// Requests shed past a loop's `max_queue` bound (diagnostics/tests).
   uint64_t shed_total() const {
     return shed_total_.load(std::memory_order_relaxed);
   }
@@ -115,75 +112,53 @@ class Server {
   }
 
  private:
-  // One client connection; owned and touched only by the reactor thread
-  // (workers get the raw fd, which stays open while a request is in
-  // flight — the reactor neither polls nor closes it until completion).
-  struct Connection {
-    Fd fd;
-    std::string inbuf;
-    bool in_flight = false;
-    bool closing = false;
-  };
+  // A connection, a decoded request and an event loop (server.cc). A loop
+  // and all it holds are touched only by its thread; Stop() only writes the
+  // loop's wake fd and joins it.
+  struct Connection;
+  struct Decoded;
+  struct Loop;
 
-  void ReactorLoop();
-  void WorkerLoop();
-  void WakeReactor();
-  // Reads whatever is available; false when the connection should close.
-  bool DrainReadable(Connection* conn);
-  // Extracts and dispatches complete frames; false => close connection.
-  bool ProcessFrames(int fd, Connection* conn);
-  // Worker-side evaluation + response write. HandleJob fetches the published
-  // snapshot once; Evaluate is the lock-free hot kernel over that pointer
-  // (the rare kStats op, which reads the store's guarded counters, lives in
-  // the cold EvaluateStats helper — see DESIGN.md §5g). `queued` started
-  // ticking at admission: its elapsed time is the queue-wait metric.
-  void HandleJob(int fd, const Request& req, const Deadline& deadline,
-                 const Stopwatch& queued);
+  void RunLoop(Loop* loop);
+  // Decodes at most one frame of `conn`: queues it on `loop`, or answers it
+  // inline (shed, bad frame, draining, exempt obs ops).
+  void DecodeFrame(Loop* loop, Connection* conn, bool draining);
+  // Evaluates a decoded request and sends the answer. HandleRequest fetches
+  // the published snapshot once; Evaluate is the lock-free hot kernel over
+  // that pointer (kStats, which reads the store's guarded counters, lives in
+  // the cold EvaluateStats — see DESIGN.md §5g).
+  void HandleRequest(Loop* loop, Decoded* decoded);
   Response Evaluate(const Request& req, const SnapshotPtr& snap,
                     const Deadline& deadline);
   void EvaluateStats(const SnapshotPtr& snap, Response* resp);
-  // Cold observability handlers (DESIGN.md §5d): Prometheus scrape, slowlog
-  // dump, and on-demand trace capture. Dispatched from Evaluate when the op
-  // rides admission, or inline from the reactor via RespondObsInline.
-  void EvaluateMetrics(Response* resp);
-  void EvaluateSlowlog(Response* resp);
-  void EvaluateTraceDump(const Request& req, const Deadline& deadline,
-                         Response* resp);
-  // Reactor-side answer for admission-exempt kMetrics/kSlowlog requests.
-  void RespondObsInline(Connection* conn, const Request& req);
-  // Cold epilogue of HandleJob: per-op RED attribution + slowlog entry.
+  // Cold text of kMetrics/kSlowlog/kTraceDump (DESIGN.md §5d).
+  void EvaluateObs(Op op, Response* resp);
+  // kTraceDump with the collector off: enables it and parks the request on
+  // its loop (false => evaluate it normally); FinishCapture answers it.
+  bool StartCapture(Loop* loop, const Decoded& decoded,
+                    const SnapshotPtr& snap, const Stopwatch& started);
+  void FinishCapture(Loop* loop);
+  // Sends the answer, then records latency, per-op counters and slowlog.
+  void Complete(const Decoded& decoded, const Response& resp,
+                const Stopwatch& started);
   void RecordOpTelemetry(const Request& req, const Response& resp,
                          const Deadline& deadline, double handle_us);
-  // Inline (reactor-side) response for shed/bad-request/shutting-down.
-  void RespondInline(Connection* conn, const Response& resp);
 
   const ServerOptions options_;
   SnapshotStore store_;
-  AdmissionQueue queue_;
   SlowlogRing slowlog_;
 
   Fd listener_;
-  Fd wake_read_, wake_write_;
   uint16_t port_ = 0;
 
-  std::thread reactor_;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> reactor_exit_{false};
 
   std::atomic<uint64_t> requests_total_{0};
   std::atomic<uint64_t> shed_total_{0};
   std::atomic<uint64_t> deadline_expired_total_{0};
-
-  // Worker -> reactor handback: fds whose response was written (ok) or
-  // whose stream died (not ok).
-  Mutex completions_mu_;
-  std::vector<std::pair<int, bool>> completions_
-      RDFCUBE_GUARDED_BY(completions_mu_);
-
-  std::unordered_map<int, Connection> conns_;  // reactor-only
 };
 
 }  // namespace server

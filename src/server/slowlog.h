@@ -24,7 +24,7 @@ struct SlowlogEntry {
   uint8_t op = 0;
   /// Client correlation id echoed from the request.
   uint64_t request_id = 0;
-  /// End-to-end worker handling latency, microseconds.
+  /// Evaluate + encode + send latency on the loop, microseconds.
   double latency_us = 0.0;
   /// Deadline budget left when the response was written, milliseconds
   /// (0 when the deadline had already expired).

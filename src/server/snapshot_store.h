@@ -21,7 +21,7 @@
 namespace rdfcube {
 namespace server {
 
-/// How snapshots are shared between the store, workers, and reloaders.
+/// How snapshots are shared between the store, event loops, and reloaders.
 using SnapshotPtr = core::RelationshipSnapshot::Ptr;
 
 /// Injection point consulted just before a successful reload publishes its

@@ -5,12 +5,14 @@
 // interleaving — but the point of this file is the happens-before coverage:
 // ThreadPool submit/wait/error paths, TryParallelFor early-abort, the
 // fault-injector's global registry under concurrent firing, parallel and
-// distributed masking racing each other, and checkpoint save/restore storms
-// on shared paths.
+// distributed masking racing each other, checkpoint save/restore storms
+// on shared paths, and the relationship server's event loops under live
+// traffic and a mid-stream Stop().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -31,11 +33,15 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/corpus.h"
-#include "server/admission.h"
+#include "server/client.h"
+#include "server/protocol.h"
+#include "server/server.h"
 #include "server/snapshot_store.h"
+#include "server/socket_io.h"
 #include "tests/test_corpus.h"
 #include "util/fault.h"
 #include "base/status.h"
+#include "base/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace rdfcube {
@@ -484,90 +490,94 @@ TEST(ObsRaceTest, SpansOnManyThreadsRaceSnapshotAndClear) {
   (void)collector.dropped();  // bounded rings may have overwritten; just read
 }
 
-// --- Server admission queue under contention ---------------------------------
+// --- Server request conservation across Stop() --------------------------------
 
-TEST(ServerRaceStressTest, AdmissionQueueConservesEveryAdmittedJob) {
-  // N producers push, M consumers pop-and-run, then the queue closes while
-  // both sides are still hot. The conservation law: every job whose TryPush
-  // returned kAdmitted runs exactly once — none dropped, none duplicated.
-  server::AdmissionQueue queue(16);
-  std::atomic<uint64_t> admitted{0}, shed{0}, closed{0}, executed{0};
-  std::atomic<bool> producers_done{false};
+TEST(ServerRaceStressTest, EveryRequestGetsExactlyOneOutcomeAcrossStop) {
+  // K raw connections each send M requests, one at a time, to a server with
+  // N event loops and a one-request bound per loop wakeup, and Stop() runs
+  // mid-stream. Every frame sent gets exactly one outcome: an answer (ok or
+  // shed), kShuttingDown, or a transport error once the drain has begun.
+  // The server's own tallies account for every answered frame.
+  qb::Corpus corpus = MakeRandomCorpus(71, 60);
+  core::RelationshipSnapshot::BuildOptions build;
+  build.version = 1;
+  auto snap = core::RelationshipSnapshot::Build(std::move(corpus), build);
+  ASSERT_TRUE(snap.ok());
+  server::ServerOptions options;
+  options.num_workers = 2;
+  options.max_queue = 1;
+  options.retry_after_ms = 1;
+  server::Server srv(options);
+  ASSERT_TRUE(srv.Start(snap.value()).ok());
 
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 3000; ++i) {
-        switch (queue.TryPush(
-            [&] { executed.fetch_add(1, std::memory_order_relaxed); })) {
-          case server::Admission::kAdmitted:
-            admitted.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case server::Admission::kShed:
-            shed.fetch_add(1, std::memory_order_relaxed);
-            break;
-          case server::Admission::kClosed:
-            closed.fetch_add(1, std::memory_order_relaxed);
-            break;
-        }
+  constexpr int kClients = 6;
+  constexpr int kRequests = 400;
+  std::atomic<bool> stopping{false};
+  std::atomic<uint64_t> sent{0}, answered{0}, shed{0}, shutting_down{0},
+      transport_after_drain{0}, anomalies{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto conn = server::ConnectTo("127.0.0.1", srv.port(), Deadline(2.0));
+      if (!conn.ok()) {
+        anomalies.fetch_add(1);
+        return;
       }
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        auto job = queue.Pop(Deadline(0.05));
-        if (job.has_value()) {
-          (*job)();
-        } else if (queue.closed() ||
-                   producers_done.load(std::memory_order_acquire)) {
-          // Drain whatever is left, then quit.
-          while ((job = queue.Pop(Deadline(0.0))).has_value()) (*job)();
+      std::string payload;
+      for (int i = 0; i < kRequests; ++i) {
+        server::Request req;
+        req.op = i % 3 == 0 ? server::Op::kScan : server::Op::kContainers;
+        req.target = static_cast<qb::ObsId>((c * 7 + i) % 60);
+        req.limit = 200;
+        req.deadline_ms = 5000;
+        req.request_id = static_cast<uint64_t>(c) << 32 | (i + 1u);
+        Status st = server::WriteFrame(conn->get(), server::EncodeRequest(req),
+                                       Deadline(5.0));
+        if (st.ok()) {
+          st = server::ReadFrame(conn->get(), &payload,
+                                 server::kDefaultMaxFrameBytes, Deadline(5.0));
+        }
+        sent.fetch_add(1);
+        if (!st.ok()) {
+          // The server only ever hangs up on a healthy client while draining.
+          (stopping.load() ? transport_after_drain : anomalies).fetch_add(1);
           return;
         }
+        auto resp = server::DecodeResponse(payload);
+        if (!resp.ok()) {
+          anomalies.fetch_add(1);
+          return;
+        }
+        if (resp->code == server::RespCode::kShuttingDown) {
+          shutting_down.fetch_add(1);
+          return;  // the server closes the connection after this answer
+        }
+        if (resp->request_id != req.request_id) anomalies.fetch_add(1);
+        if (resp->code == server::RespCode::kShed) {
+          shed.fetch_add(1);
+        } else if (resp->code == server::RespCode::kOk) {
+          answered.fetch_add(1);
+        } else {
+          anomalies.fetch_add(1);
+        }
       }
     });
   }
-  for (std::thread& t : producers) t.join();
-  producers_done.store(true, std::memory_order_release);
-  for (std::thread& t : consumers) t.join();
-  queue.Close();
-  EXPECT_EQ(executed.load(), admitted.load());
-  EXPECT_EQ(admitted.load() + shed.load() + closed.load(), 4u * 3000u);
-  EXPECT_EQ(queue.Depth(), 0u);
-}
-
-TEST(ServerRaceStressTest, AdmissionQueueCloseStormNeverLosesAdmitted) {
-  // Close() races pushes and pops; admitted jobs still run exactly once.
-  for (int round = 0; round < 20; ++round) {
-    server::AdmissionQueue queue(8);
-    std::atomic<uint64_t> admitted{0}, executed{0};
-    std::vector<std::thread> pushers;
-    for (int p = 0; p < 3; ++p) {
-      pushers.emplace_back([&] {
-        for (int i = 0; i < 200; ++i) {
-          if (queue.TryPush([&] {
-                executed.fetch_add(1, std::memory_order_relaxed);
-              }) == server::Admission::kAdmitted) {
-            admitted.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    std::thread popper([&] {
-      // Pop until the queue reports closed-and-empty.
-      while (auto job = queue.Pop(Deadline(0.02))) (*job)();
-      while (auto job = queue.Pop(Deadline(0.0))) (*job)();
-    });
-    std::thread closer([&] { queue.Close(); });
-    for (std::thread& t : pushers) t.join();
-    closer.join();
-    popper.join();
-    // The popper may have quit on its deadline before draining; finish here.
-    while (auto job = queue.Pop(Deadline(0.0))) (*job)();
-    EXPECT_EQ(executed.load(), admitted.load()) << "round " << round;
+  // Stop mid-stream: once about a third of the frames have an outcome.
+  const Deadline give_up(30.0);
+  while (sent.load() < kClients * kRequests / 3 && !give_up.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  stopping.store(true);
+  srv.Stop();
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(anomalies.load(), 0u);
+  EXPECT_EQ(sent.load(), answered.load() + shed.load() + shutting_down.load() +
+                             transport_after_drain.load());
+  EXPECT_EQ(srv.requests_total(), answered.load());
+  EXPECT_EQ(srv.shed_total(), shed.load());
+  EXPECT_LT(sent.load(), uint64_t{kClients} * kRequests) << "Stop() came too late";
 }
 
 // --- Snapshot store swap storm -----------------------------------------------
@@ -635,73 +645,68 @@ TEST(ServerRaceStressTest, SnapshotStoreSwapStormServesConsistentViews) {
 // (rdfcube_callgraph lock-order-cycle vs tools/lock_order.txt, DESIGN.md
 // §5i). These tests deliberately hold several unrelated Mutexes hot at
 // once, in every combination the tree actually uses, so an order inversion
-// introduced anywhere in AdmissionQueue / SnapshotStore / TraceCollector
-// shows up as a reported deadlock cycle with both acquisition stacks.
+// introduced anywhere in the server's request path / SnapshotStore /
+// TraceCollector shows up as a reported deadlock cycle with both
+// acquisition stacks.
 
 TEST(LockOrderStressTest, MixedLockSurfacesKeepOneGlobalOrder) {
   obs::TraceCollector& collector = obs::TraceCollector::Global();
   collector.Enable(/*ring_capacity=*/256);
-  server::AdmissionQueue queue(16);
-  server::SnapshotStore store;
   qb::Corpus corpus = MakeRandomCorpus(61, 30);
   core::RelationshipSnapshot::BuildOptions options;
   options.version = 7;
   auto snap = core::RelationshipSnapshot::Build(std::move(corpus), options);
   ASSERT_TRUE(snap.ok());
-  store.Publish(snap.value());
+  server::ServerOptions server_options;
+  server_options.num_workers = 2;
+  server::Server srv(server_options);
+  ASSERT_TRUE(srv.Start(snap.value()).ok());
 
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> admitted{0}, executed{0};
+  std::atomic<uint64_t> answered{0};
 
-  // Producers: each admitted job publishes + reads the snapshot store and
-  // records a trace span. AdmissionQueue releases its mutex before handing
-  // the job to the consumer, so the job's own acquisitions (store.mu_, the
-  // span's ThreadTrace::mu) must never nest under the queue lock — exactly
-  // the ordering TSan verifies while the consumers below also block inside
-  // Pop's condvar wait on the same mutex.
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 2; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 1500; ++i) {
-        if (queue.TryPush([&] {
-              obs::TraceSpan span("lockstress/job");
-              store.Publish(snap.value());
-              const server::SnapshotPtr current = store.Current();
-              EXPECT_NE(current, nullptr);
-              executed.fetch_add(1, std::memory_order_relaxed);
-            }) == server::Admission::kAdmitted) {
-          admitted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  std::vector<std::thread> consumers;
+  // Live traffic: every request reads the store (store.mu_), records its
+  // server/handle span (ThreadTrace::mu) and a slowlog entry (the ring's
+  // mutex) on a loop thread, and none of them nests under another — exactly
+  // the ordering TSan verifies while the publisher and walker below take
+  // the same locks from other threads.
+  std::vector<std::thread> clients;
   for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        if (auto job = queue.Pop(Deadline(0.01))) (*job)();
+    clients.emplace_back([&, c] {
+      server::ClientOptions copts;
+      copts.port = srv.port();
+      copts.jitter_seed = static_cast<uint64_t>(c + 1);
+      server::Client client(copts);
+      for (int i = 0; i < 1500; ++i) {
+        auto ids = client.Containers(static_cast<qb::ObsId>(i % 30));
+        if (ids.ok()) answered.fetch_add(1, std::memory_order_relaxed);
       }
-      while (auto job = queue.Pop(Deadline(0.0))) (*job)();
     });
   }
+  // Publisher: republishes the snapshot the loops are reading.
+  std::thread publisher([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      obs::TraceSpan span("lockstress/publish");
+      srv.store().Publish(snap.value());
+    }
+  });
   // Registry walker: Snapshot()/Clear() exercise the one sanctioned nesting
   // in the tree (registry_mu_ -> ThreadTrace::mu) against the span-recording
-  // jobs above, interleaved with the queue and store locks.
+  // loops above, interleaved with the store lock.
   std::thread walker([&] {
     while (!stop.load(std::memory_order_acquire)) {
       (void)collector.Snapshot();
       collector.Clear();
     }
   });
-  for (std::thread& t : producers) t.join();
+  for (std::thread& t : clients) t.join();
   stop.store(true, std::memory_order_release);
-  for (std::thread& t : consumers) t.join();
+  publisher.join();
   walker.join();
-  while (auto job = queue.Pop(Deadline(0.0))) (*job)();
-  queue.Close();
+  srv.Stop();
   collector.Disable();
-  EXPECT_EQ(executed.load(), admitted.load());
-  EXPECT_GT(executed.load(), 0u);
+  EXPECT_EQ(answered.load(), 2u * 1500u);
+  EXPECT_EQ(srv.requests_total(), answered.load());
 }
 
 TEST(LockOrderStressTest, CollectorLifecycleStormNeverInvertsRegistryOrder) {

@@ -6,7 +6,7 @@
 // 1ms deadlines. Every OK answer is verified against a per-version
 // CubeExplorer oracle — the server may serve STALE data (last-good snapshot
 // after a failed reload) but never TORN data (an answer inconsistent with
-// the corpus its version stamps). Overload must shed (bounded queue), and
+// the corpus its version stamps). Overload must shed (bounded loops), and
 // Stop() must drain cleanly with every thread joining.
 //
 // RDFCUBE_BENCH_SMOKE=1 shrinks the soak duration (CI smoke lane).
@@ -205,7 +205,8 @@ class SoakTest : public ::testing::Test {
 };
 
 TEST_F(SoakTest, ChaosSoakNeverServesTornData) {
-  // Small queue so the client fleet overloads it; the soak must shed.
+  // Small per-loop bound so the client fleet overloads it; the soak must
+  // shed.
   ServerOptions options;
   options.num_workers = 2;
   options.max_queue = 2;
@@ -383,9 +384,10 @@ TEST_F(SoakTest, ChaosSoakNeverServesTornData) {
   reloader.join();
 
   srv.Stop();  // orderly drain; must not hang or crash
-  // Read the tallies only after Stop() joins the workers: a job increments
-  // requests_total_ on entry but its per-op counter in the epilogue, so a
-  // capture racing the last in-flight job would undercount the per-op side.
+  // Read the tallies only after Stop() joins the event loops: a request
+  // increments requests_total_ on entry but its per-op counter in the
+  // epilogue, so a capture racing the last request would undercount the
+  // per-op side.
   const uint64_t shed = srv.shed_total();
   const uint64_t requests = srv.requests_total();
   const uint64_t per_op_delta = PerOpRequestsTotal() - per_op_before;
@@ -395,15 +397,15 @@ TEST_F(SoakTest, ChaosSoakNeverServesTornData) {
   EXPECT_EQ(counters.version_regressions.load(), 0u);
   EXPECT_EQ(counters.internal_responses.load(), 0u);
   EXPECT_EQ(counters.bad_request_responses.load(), 0u);
-  // Metrics conservation: every worker-handled request ticks exactly one
-  // per-op counter, and this soak sends none of the inline-answered obs ops
-  // (kMetrics/kSlowlog bypass admission and skip requests_total), so the
-  // per-op delta-sum must match the server's own tally exactly.
+  // Metrics conservation: every evaluated request ticks exactly one per-op
+  // counter, and this soak sends none of the inline-answered obs ops
+  // (kMetrics/kSlowlog bypass the shed bound and skip requests_total), so
+  // the per-op delta-sum must match the server's own tally exactly.
   EXPECT_EQ(per_op_delta, requests)
       << "per-op RED counters do not conserve requests_total";
   // The soak exercised what it claims to exercise.
   EXPECT_GT(requests, 100u);
-  EXPECT_GT(shed, 0u) << "bounded queue never shed under overload";
+  EXPECT_GT(shed, 0u) << "bounded loops never shed under overload";
   EXPECT_GT(counters.verified_base.load(), 0u)
       << "no answer from the base snapshot was ever verified";
   EXPECT_GT(counters.verified_extended.load(), 0u)

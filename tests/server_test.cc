@@ -1,10 +1,12 @@
-// Relationship-server suite (DESIGN.md §6): wire-protocol round trips and
-// malformed-frame fuzzing, the bounded admission queue, the immutable
+// Relationship-server suite (DESIGN.md §6): wire-protocol round trips,
+// golden wire bytes and malformed-frame fuzzing, the immutable
 // RelationshipSnapshot (oracle equivalence against CubeExplorer, incremental
 // refresh, crash-safe persistence, deadline/fault handling), the
 // copy-on-write SnapshotStore, and end-to-end server/client behavior:
 // point lookups, bulk scans, load shedding with retry-after, deadline
-// expiry in the queue, protocol-error hangups, and orderly drain.
+// expiry between decode and evaluation, protocol-error hangups, a slow
+// reader and a trace capture that never hold their event loop, and
+// orderly drain.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/stopwatch.h"
 #include "core/engine.h"
 #include "core/explorer.h"
 #include "core/relationship.h"
@@ -32,7 +35,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/corpus.h"
-#include "server/admission.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -155,6 +157,103 @@ TEST(ProtocolTest, ResponseRoundTripsEveryField) {
   EXPECT_EQ(back->cursor.b, resp.cursor.b);
   EXPECT_TRUE(back->more);
   EXPECT_EQ(back->stats, resp.stats);
+}
+
+// Lower-case hex of `bytes`, two digits per byte.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+std::string Unhex(const std::string& hex) {
+  const auto nibble = [](char c) { return c <= '9' ? c - '0' : c - 'a' + 10; };
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out += static_cast<char>(nibble(hex[i]) * 16 + nibble(hex[i + 1]));
+  }
+  return out;
+}
+
+TEST(ProtocolTest, GoldenWireBytesPinProtocolV2) {
+  // Every field set, pinned to the bytes of the original byte-at-a-time v2
+  // encoder: the bulk codec must not move a single byte.
+  Response resp;
+  resp.code = RespCode::kDeadlineExceeded;
+  resp.retry_after_ms = 0x01020304u;
+  resp.snapshot_version = 0x1122334455667788ull;
+  resp.error = "late";
+  resp.ids = {7, 0xdeadbeefu};
+  resp.degrees = {0.5, 0.25};
+  resp.records = {{'F', 1, 2, 0.0}, {'P', 3, 4, 0.75}, {'C', 5, 6, 0.0}};
+  resp.cursor = {'C', 5, 6};
+  resp.more = true;
+  resp.stats = {1, 0x0102030405060708ull};
+  resp.text = "ok";
+  resp.request_id = 0xfeedface01020304ull;
+  const std::string resp_hex =
+      "0202040302018877665544332211040000006c6174650200000007000000efbe"
+      "adde02000000000000000000e03f000000000000d03f03000000460100000002"
+      "0000000000000000000000500300000004000000000000000000e83f43050000"
+      "0006000000000000000000000043050000000600000001020000000100000000"
+      "0000000807060504030201020000006f6b04030201cefaedfe";
+  EXPECT_EQ(Hex(EncodeResponse(resp)), resp_hex);
+  // A frame is the u32 length prefix, then the same payload, appended.
+  std::string frame = "x";
+  AppendResponseFrame(resp, &frame);
+  EXPECT_EQ(Hex(frame), "78" "99000000" + resp_hex);
+
+  auto back = DecodeResponse(Unhex(resp_hex));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->code, resp.code);
+  EXPECT_EQ(back->retry_after_ms, resp.retry_after_ms);
+  EXPECT_EQ(back->snapshot_version, resp.snapshot_version);
+  EXPECT_EQ(back->error, resp.error);
+  EXPECT_EQ(back->ids, resp.ids);
+  EXPECT_EQ(back->degrees, resp.degrees);
+  ASSERT_EQ(back->records.size(), resp.records.size());
+  for (std::size_t i = 0; i < resp.records.size(); ++i) {
+    EXPECT_EQ(back->records[i].kind, resp.records[i].kind);
+    EXPECT_EQ(back->records[i].a, resp.records[i].a);
+    EXPECT_EQ(back->records[i].b, resp.records[i].b);
+    EXPECT_EQ(back->records[i].degree, resp.records[i].degree);
+  }
+  EXPECT_EQ(back->cursor.kind, resp.cursor.kind);
+  EXPECT_EQ(back->cursor.a, resp.cursor.a);
+  EXPECT_EQ(back->cursor.b, resp.cursor.b);
+  EXPECT_TRUE(back->more);
+  EXPECT_EQ(back->stats, resp.stats);
+  EXPECT_EQ(back->text, resp.text);
+  EXPECT_EQ(back->request_id, resp.request_id);
+
+  Request req;
+  req.op = Op::kScan;
+  req.target = 0x0a0b0c0du;
+  req.deadline_ms = 1500;
+  req.min_degree = 0.625;
+  req.limit = 77;
+  req.cursor = {'P', 0xfffffffeu, 12};
+  req.request_id = 0x0123456789abcdefull;
+  const std::string req_hex =
+      "02060d0c0b0adc050000000000000000e43f4d00000050feffffff0c000000ef"
+      "cdab8967452301";
+  EXPECT_EQ(Hex(EncodeRequest(req)), req_hex);
+  auto req_back = DecodeRequest(Unhex(req_hex));
+  ASSERT_TRUE(req_back.ok()) << req_back.status().ToString();
+  EXPECT_EQ(req_back->op, req.op);
+  EXPECT_EQ(req_back->target, req.target);
+  EXPECT_EQ(req_back->deadline_ms, req.deadline_ms);
+  EXPECT_EQ(req_back->min_degree, req.min_degree);
+  EXPECT_EQ(req_back->limit, req.limit);
+  EXPECT_EQ(req_back->cursor.kind, req.cursor.kind);
+  EXPECT_EQ(req_back->cursor.a, req.cursor.a);
+  EXPECT_EQ(req_back->cursor.b, req.cursor.b);
+  EXPECT_EQ(req_back->request_id, req.request_id);
 }
 
 TEST(ProtocolTest, EmptyResponseRoundTrips) {
@@ -524,68 +623,6 @@ TEST(ProtocolTest, OpNamesAreStableWireIdentifiers) {
   EXPECT_STREQ(OpName(Op::kSlowlog), "slowlog");
   EXPECT_STREQ(OpName(Op::kTraceDump), "tracedump");
   EXPECT_STREQ(OpName(static_cast<Op>(0)), "unknown");
-}
-
-// --- AdmissionQueue ----------------------------------------------------------
-
-TEST(AdmissionQueueTest, FifoOrderAndShedAtCapacity) {
-  AdmissionQueue q(2);
-  std::vector<int> ran;
-  EXPECT_EQ(q.TryPush([&] { ran.push_back(1); }), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush([&] { ran.push_back(2); }), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush([&] { ran.push_back(3); }), Admission::kShed);
-  EXPECT_EQ(q.Depth(), 2u);
-  for (int i = 0; i < 2; ++i) {
-    auto job = q.Pop(Deadline());
-    ASSERT_TRUE(job.has_value());
-    (*job)();
-  }
-  EXPECT_EQ(ran, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.Depth(), 0u);
-}
-
-TEST(AdmissionQueueTest, PopHonorsDeadlineWhenEmpty) {
-  AdmissionQueue q(4);
-  EXPECT_FALSE(q.Pop(Deadline(0.0)).has_value());
-  EXPECT_FALSE(q.Pop(Deadline(0.02)).has_value());
-}
-
-TEST(AdmissionQueueTest, CloseRefusesNewButDrainsAdmitted) {
-  AdmissionQueue q(4);
-  int ran = 0;
-  EXPECT_EQ(q.TryPush([&] { ++ran; }), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush([&] { ++ran; }), Admission::kAdmitted);
-  q.Close();
-  q.Close();  // idempotent
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.TryPush([&] { ++ran; }), Admission::kClosed);
-  // Admitted jobs stay poppable after Close.
-  while (auto job = q.Pop(Deadline())) (*job)();
-  EXPECT_EQ(ran, 2);
-  // Closed and empty: Pop returns immediately even with no deadline.
-  EXPECT_FALSE(q.Pop(Deadline()).has_value());
-}
-
-TEST(AdmissionQueueTest, PopUnblocksOnPush) {
-  AdmissionQueue q(4);
-  std::atomic<int> got{0};
-  std::thread popper([&] {
-    auto job = q.Pop(Deadline(5.0));
-    if (job.has_value()) {
-      (*job)();
-      got.fetch_add(1);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(q.TryPush([] {}), Admission::kAdmitted);
-  popper.join();
-  EXPECT_EQ(got.load(), 1);
-}
-
-TEST(AdmissionQueueTest, ZeroCapacityClampsToOne) {
-  AdmissionQueue q(0);
-  EXPECT_EQ(q.TryPush([] {}), Admission::kAdmitted);
-  EXPECT_EQ(q.TryPush([] {}), Admission::kShed);
 }
 
 // --- RelationshipSnapshot: queries vs the explorer oracle --------------------
@@ -1338,6 +1375,16 @@ TEST_F(ServerClientTest, OverloadShedsInsteadOfQueueingUnboundedly) {
   EXPECT_TRUE(probe.Ping().ok());  // server still serving after the storm
 }
 
+TEST_F(ServerClientTest, ZeroRequestBoundStillServesOneRequestPerWakeup) {
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 0;  // clamped to 1, never "shed everything"
+  StartServer(MakeRunningExample(), options);
+  Client client = MakeClient(0);
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(client.Ping().ok()) << i;
+  EXPECT_EQ(server_->shed_total(), 0u);
+}
+
 TEST_F(ServerClientTest, QueuedRequestsHonorTheirDeadline) {
   ServerOptions options;
   options.num_workers = 1;
@@ -1461,12 +1508,12 @@ TEST_F(ServerClientTest, RequestIdIsEchoedOnWorkerAndInlinePaths) {
   StartServer(MakeRunningExample(), ServerOptions{});
   Client client = MakeClient();
   Request req;
-  req.op = Op::kPing;  // worker path (admission queue)
+  req.op = Op::kPing;  // evaluated path (counted in requests_total)
   req.request_id = 0xabcddcba12344321ull;
   auto resp = client.Call(req);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->request_id, req.request_id);
-  req.op = Op::kMetrics;  // reactor-inline path (admission-exempt)
+  req.op = Op::kMetrics;  // inline path (exempt from the shed bound)
   req.request_id = 0x1111222233334444ull;
   resp = client.Call(req);
   ASSERT_TRUE(resp.ok());
@@ -1496,7 +1543,7 @@ TEST_F(ServerClientTest, SlowlogRecordsWorkerRequests) {
   EXPECT_NE(log->find("\"request_id\":777"), std::string::npos);
   EXPECT_NE(log->find("\"op\":\"ping\""), std::string::npos);
   EXPECT_NE(log->find("\"snapshot_version\":1"), std::string::npos);
-  // The slowlog dump itself is reactor-inline and never self-records.
+  // The slowlog dump itself is answered inline and never self-records.
   EXPECT_EQ(log->find("\"op\":\"slowlog\""), std::string::npos);
 }
 
@@ -1522,6 +1569,82 @@ TEST_F(ServerClientTest, TraceDumpCapturesABoundedWindow) {
   EXPECT_FALSE(obs::TraceCollector::Global().enabled());
 }
 
+TEST_F(ServerClientTest, StalledReaderNeitherHoldsItsLoopNorOutlivesTheWriteTimeout) {
+  ServerOptions options;
+  options.num_workers = 1;
+  options.write_timeout_seconds = 1.0;
+  StartServer(MakeRandomCorpus(37, 200), options);
+  // Enough server-cap pages to overflow everything the kernel buffers for
+  // a reader that never reads (Linux caps a send buffer at 4 MiB).
+  const std::size_t rels = snapshot_->num_full() + snapshot_->num_partial() +
+                           snapshot_->num_complementary();
+  const std::size_t page =
+      kResponseHeaderBytes +
+      kScanRecordBytes *
+          std::min<std::size_t>(rels, ScanRecordsPerFrame(kDefaultMaxFrameBytes));
+  const std::size_t pages = (16u << 20) / page + 1;
+  auto stalled = ConnectTo("127.0.0.1", server_->port(), Deadline(2.0));
+  ASSERT_TRUE(stalled.ok()) << stalled.status().ToString();
+  Request scan;
+  scan.op = Op::kScan;
+  scan.deadline_ms = 10000;
+  for (std::size_t i = 0; i < pages; ++i) {
+    ASSERT_TRUE(
+        WriteFrame(stalled->get(), EncodeRequest(scan), Deadline(2.0)).ok());
+  }
+  // Let the loop fill the socket and park the rest of the pages.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const uint64_t io_errors_before =
+      GlobalCounterValue("rdfcube_server_io_errors_total");
+
+  Client client = MakeClient();
+  const Stopwatch watch;
+  ASSERT_TRUE(client.Ping().ok());
+  EXPECT_LT(watch.ElapsedMillis(), 250.0) << "the stalled reader held the loop";
+
+  // Once write_timeout_seconds pass without progress the server hangs up:
+  // reading now ends in EOF or a reset long before the last page.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  EXPECT_EQ(GlobalCounterValue("rdfcube_server_io_errors_total"),
+            io_errors_before + 1);
+  std::size_t got = 0;
+  std::string payload;
+  Status st;
+  while ((st = ReadFrame(stalled->get(), &payload, kDefaultMaxFrameBytes,
+                         Deadline(5.0)))
+             .ok()) {
+    ++got;
+  }
+  EXPECT_FALSE(st.IsTimedOut()) << "the stalled connection was never closed";
+  EXPECT_LT(got, pages);
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(ServerClientTest, TraceCaptureDoesNotHoldItsLoop) {
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
+  ASSERT_FALSE(collector.enabled());
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(MakeRunningExample(), options);
+  Client tracer = MakeClient();
+  std::thread capture([&] {
+    auto json = tracer.TraceDump(/*window_ms=*/500);
+    EXPECT_TRUE(json.ok()) << json.status().ToString();
+  });
+  const Deadline give_up(5.0);
+  while (!collector.enabled() && !give_up.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(collector.enabled()) << "the capture window never opened";
+  Client client = MakeClient();
+  const Stopwatch watch;
+  ASSERT_TRUE(client.Ping().ok());
+  EXPECT_LT(watch.ElapsedMillis(), 100.0) << "the capture held the loop";
+  EXPECT_TRUE(collector.enabled()) << "the ping waited out the window";
+  capture.join();
+  EXPECT_FALSE(collector.enabled());
+}
+
 TEST_F(ServerClientTest, ObsOpsCanBeForcedThroughAdmission) {
   ServerOptions options;
   options.obs_ops_bypass_admission = false;
@@ -1530,7 +1653,7 @@ TEST_F(ServerClientTest, ObsOpsCanBeForcedThroughAdmission) {
   const uint64_t before = server_->requests_total();
   ASSERT_TRUE(client.Metrics().ok());
   ASSERT_TRUE(client.Slowlog().ok());
-  // Through admission, scrapes count as regular requests...
+  // Through the evaluated path, scrapes count as regular requests...
   EXPECT_EQ(server_->requests_total(), before + 2);
 }
 
@@ -1541,7 +1664,7 @@ TEST_F(ServerClientTest, InlineObsOpsDoNotCountTowardRequestsTotal) {
   const uint64_t before = server_->requests_total();
   ASSERT_TRUE(client.Metrics().ok());
   ASSERT_TRUE(client.Slowlog().ok());
-  // ...but on the reactor-inline path they stay out of the worker tally,
+  // ...but on the inline path they stay out of the evaluated tally,
   // like every other inline response (shed, bad request).
   EXPECT_EQ(server_->requests_total(), before);
 }

@@ -3,8 +3,10 @@
 //   rdfcube_serverd <corpus.(ttl|bin)> [options]
 //       --port=<n>            listen port (default 0 = ephemeral; the bound
 //                             port is printed as "serving on port <n>")
-//       --workers=<n>         worker threads (default 2)
-//       --queue=<n>           admission queue capacity (default 64)
+//       --workers=<n>         event loops; each serves the connections it
+//                             accepts, request by request (default 2)
+//       --queue=<n>           decoded requests one loop holds per wakeup;
+//                             more are shed with retry-after (default 64)
 //       --retry-after-ms=<n>  backoff hint on shed responses (default 50)
 //       --default-deadline=<seconds>  deadline when a request asks for none
 //       --max-deadline=<seconds>      clamp on client-requested deadlines
