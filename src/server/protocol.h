@@ -95,8 +95,10 @@ struct Request {
   Op op = Op::kPing;
   /// Observation id for the point-lookup ops (ignored by ping/scan/stats).
   qb::ObsId target = 0;
-  /// Client deadline in milliseconds from decode; 0 means "server
-  /// default". The server clamps it to its configured maximum.
+  /// Client deadline in milliseconds; 0 means "server default". The server
+  /// clamps it to its configured maximum and counts it from the request's
+  /// arrival: the time its frame waited in the server's socket counts, and
+  /// a pipelined request's clock starts once the answer before it is sent.
   uint32_t deadline_ms = 0;
   /// Minimum partial-containment degree (kPartial only).
   double min_degree = 0.0;

@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "base/hot.h"
+#include "base/thread_annotations.h"
 #include "core/relationship.h"
 #include "core/snapshot.h"
 #include "obs/log.h"
@@ -32,46 +33,58 @@ namespace server {
 
 namespace {
 
-// Per-op RED instruments, indexed by wire op - 1. The names live in this
-// table (not at the registration call) so the set stays greppable in one
-// place; all follow rdfcube_server_<op>_<what>_<unit>.
+// Per-op RED instruments, indexed by wire op - 1. Names and help strings
+// live in this table (not at the registration call) so the set stays
+// greppable in one place; all follow rdfcube_server_<op>_<what>_<unit>.
 struct OpTelemetry {
   obs::Counter* requests = nullptr;
   obs::Histogram* latency = nullptr;
 };
 
+struct OpMetricSpec {
+  const char* requests_name;
+  const char* requests_help;
+  const char* latency_name;
+  const char* latency_help;
+};
+
 constexpr std::size_t kNumOps = static_cast<std::size_t>(Op::kTraceDump);
 
-constexpr const char* kOpMetricNames[kNumOps][2] = {
-    {"rdfcube_server_ping_requests_total", "rdfcube_server_ping_latency_us"},
+constexpr OpMetricSpec kOpMetricSpecs[kNumOps] = {
+    {"rdfcube_server_ping_requests_total", "ping requests handled",
+     "rdfcube_server_ping_latency_us", "ping handling latency (us)"},
     {"rdfcube_server_containers_requests_total",
-     "rdfcube_server_containers_latency_us"},
-    {"rdfcube_server_contained_requests_total",
-     "rdfcube_server_contained_latency_us"},
+     "containers lookups handled", "rdfcube_server_containers_latency_us",
+     "containers handling latency (us)"},
+    {"rdfcube_server_contained_requests_total", "contained lookups handled",
+     "rdfcube_server_contained_latency_us", "contained handling latency (us)"},
     {"rdfcube_server_complements_requests_total",
-     "rdfcube_server_complements_latency_us"},
-    {"rdfcube_server_partial_requests_total",
-     "rdfcube_server_partial_latency_us"},
-    {"rdfcube_server_scan_requests_total", "rdfcube_server_scan_latency_us"},
-    {"rdfcube_server_stats_requests_total", "rdfcube_server_stats_latency_us"},
-    {"rdfcube_server_metrics_requests_total",
-     "rdfcube_server_metrics_latency_us"},
-    {"rdfcube_server_slowlog_requests_total",
-     "rdfcube_server_slowlog_latency_us"},
-    {"rdfcube_server_tracedump_requests_total",
-     "rdfcube_server_tracedump_latency_us"},
+     "complements lookups handled", "rdfcube_server_complements_latency_us",
+     "complements handling latency (us)"},
+    {"rdfcube_server_partial_requests_total", "partial lookups handled",
+     "rdfcube_server_partial_latency_us", "partial handling latency (us)"},
+    {"rdfcube_server_scan_requests_total", "bulk scans handled",
+     "rdfcube_server_scan_latency_us", "scan handling latency (us)"},
+    {"rdfcube_server_stats_requests_total", "stats requests handled",
+     "rdfcube_server_stats_latency_us", "stats handling latency (us)"},
+    {"rdfcube_server_metrics_requests_total", "metrics scrapes handled",
+     "rdfcube_server_metrics_latency_us", "metrics handling latency (us)"},
+    {"rdfcube_server_slowlog_requests_total", "slowlog dumps handled",
+     "rdfcube_server_slowlog_latency_us", "slowlog handling latency (us)"},
+    {"rdfcube_server_tracedump_requests_total", "trace captures handled",
+     "rdfcube_server_tracedump_latency_us", "tracedump handling latency (us)"},
 };
 
 const OpTelemetry& OpTelemetryFor(Op op) {
   static const std::array<OpTelemetry, kNumOps> table = [] {
     std::array<OpTelemetry, kNumOps> t{};
     for (std::size_t i = 0; i < kNumOps; ++i) {
-      const std::string op = OpName(static_cast<Op>(i + 1));
-      const std::string help[] = {op + " requests handled",
-                                  op + " handling latency (us)"};
-      t[i].requests = &obs::DefaultCounter(kOpMetricNames[i][0], help[0]);
-      t[i].latency = &obs::DefaultHistogram(
-          kOpMetricNames[i][1], help[1], obs::ExponentialBuckets(1.0, 4.0, 12));
+      const OpMetricSpec& spec = kOpMetricSpecs[i];
+      t[i].requests =
+          &obs::DefaultCounter(spec.requests_name, spec.requests_help);
+      t[i].latency =
+          &obs::DefaultHistogram(spec.latency_name, spec.latency_help,
+                                 obs::ExponentialBuckets(1.0, 4.0, 12));
     }
     return t;
   }();
@@ -92,19 +105,22 @@ struct ServeTelemetry {
 
 const ServeTelemetry& Telemetry() {
   static const ServeTelemetry telemetry{
-      obs::DefaultCounter("rdfcube_server_requests_total", "Requests evaluated"),
+      obs::DefaultCounter("rdfcube_server_requests_total",
+                          "Requests evaluated by the event loops"),
       obs::DefaultHistogram("rdfcube_server_request_latency_us",
-                            "Evaluate + encode + send latency (µs)",
+                            "Loop-side request handling latency (µs)",
                             obs::ExponentialBuckets(1.0, 4.0, 12)),
       obs::DefaultHistogram("rdfcube_server_queue_wait_us",
                             "Decode-to-evaluation wait (µs)",
                             obs::ExponentialBuckets(1.0, 4.0, 12)),
-      obs::DefaultGauge("rdfcube_server_in_flight_requests", "Open requests"),
-      obs::DefaultCounter("rdfcube_server_shed_total", "Requests shed"),
+      obs::DefaultGauge("rdfcube_server_in_flight_requests",
+                        "Requests currently held by the event loops"),
+      obs::DefaultCounter("rdfcube_server_shed_total",
+                          "Requests shed at admission (loop bound full)"),
       obs::DefaultCounter("rdfcube_server_deadline_expired_total",
                           "Requests that missed their deadline"),
       obs::DefaultCounter("rdfcube_server_io_errors_total",
-                          "Connections dropped on a failed or stalled write"),
+                          "Response writes that failed"),
   };
   return telemetry;
 }
@@ -127,17 +143,15 @@ uint32_t FrameSize(const char* p) {
   return size;
 }
 
-// CLOCK_REALTIME seconds, the clock of SO_TIMESTAMPNS receive stamps.
-double RealtimeNow() {
-  struct timespec now;
-  ::clock_gettime(CLOCK_REALTIME, &now);
-  return now.tv_sec + now.tv_nsec * 1e-9;
-}
-
-double StampOf(const struct cmsghdr* stamp_msg) {
-  struct timespec stamp;
+// Seconds since the kernel stamped the data of a read (SO_TIMESTAMPNS, the
+// only control message enabled; CLOCK_REALTIME); 0 without a stamp.
+double SocketWaitSeconds(const struct cmsghdr* stamp_msg) {
+  if (stamp_msg == nullptr) return 0.0;
+  struct timespec stamp, now;
   std::memcpy(&stamp, CMSG_DATA(stamp_msg), sizeof(stamp));
-  return stamp.tv_sec + stamp.tv_nsec * 1e-9;
+  ::clock_gettime(CLOCK_REALTIME, &now);
+  return static_cast<double>(now.tv_sec - stamp.tv_sec) +
+         static_cast<double>(now.tv_nsec - stamp.tv_nsec) * 1e-9;
 }
 
 // Milliseconds for poll() to wait `seconds` (infinite => -1), rounded up so
@@ -151,7 +165,7 @@ int PollTimeoutMs(double seconds) {
 
 // One client connection, owned by the loop that accepted it.
 struct Server::Connection {
-  explicit Connection(int accepted) : fd(accepted) {}
+  explicit Connection(Fd accepted) : fd(std::move(accepted)) {}
 
   bool Flushed() const { return out_off == out.size(); }
 
@@ -162,10 +176,27 @@ struct Server::Connection {
     return size > max_frame_bytes || in.size() - in_off >= size + size_t{4};
   }
 
+  // What the loop polls for: a pending tail waits for POLLOUT; a parked
+  // request or a whole buffered frame (decoded next wakeup) for nothing, so
+  // nothing more is read; the rest for requests.
+  struct pollfd Interest(uint32_t max_frame_bytes) const {
+    if (!Flushed()) return {fd.get(), POLLOUT, 0};
+    const bool hold = waiting || HasFrame(max_frame_bytes);
+    return {hold ? -1 : fd.get(), POLLIN, 0};
+  }
+
+  // Seconds the frame at `in_off` has waited to be decoded: how long its
+  // last bytes sat in the socket, then the time since they were read. A
+  // pipelined frame waits from the flush of the answer before it.
+  double HeadWaitSeconds() const {
+    return head_wait + head_since.ElapsedSeconds();
+  }
+
   // Appends what the socket holds to `in` (compacting decoded frames away
-  // first) and stamps when its oldest byte arrived; false when the peer
-  // closed or the read failed.
-  bool Read(std::size_t cap) {
+  // first); false when the peer closed or the read failed. Called only
+  // while no whole frame is buffered, so `in` stays within one frame plus
+  // one read.
+  bool Read(uint32_t max_frame_bytes) {
     in.erase(0, in_off);
     in_off = 0;
     char buf[4096];
@@ -175,14 +206,13 @@ struct Server::Connection {
       struct msghdr msg = {nullptr, 0, &iov, 1, control, sizeof(control), 0};
       const ssize_t n = ::recvmsg(fd.get(), &msg, 0);
       if (n > 0) {
-        // The receive stamp is the only control message enabled.
-        const struct cmsghdr* c = CMSG_FIRSTHDR(&msg);
-        if (in.empty()) arrived = c != nullptr ? StampOf(c) : RealtimeNow();
+        if (!HasFrame(max_frame_bytes)) StampHead(CMSG_FIRSTHDR(&msg));
         in.append(buf, static_cast<std::size_t>(n));
-        // Past `cap`, decoding triages what is buffered (an oversize prefix
-        // earns kBadRequest and a hangup). A short read took everything
-        // there was; poll reports whatever arrives next.
-        if (in.size() > cap || static_cast<std::size_t>(n) < sizeof(buf)) {
+        // Past one frame, decoding triages what is buffered (an oversize
+        // prefix earns kBadRequest and a hangup). A short read took
+        // everything there was; poll reports whatever arrives next.
+        if (in.size() > max_frame_bytes + size_t{4} ||
+            static_cast<std::size_t>(n) < sizeof(buf)) {
           return true;
         }
         continue;
@@ -193,8 +223,20 @@ struct Server::Connection {
     }
   }
 
+  // These bytes may end the head frame: its wait restarts at their socket
+  // wait, clamped to the monotonic time since the head clock last restarted
+  // (the connection turned idle, or an earlier read), which bounds what a
+  // step of the wall clock can cost.
+  void StampHead(const struct cmsghdr* stamp) {
+    const double waited = std::clamp(SocketWaitSeconds(stamp), 0.0,
+                                     head_since.ElapsedSeconds());
+    head_since.Restart();
+    head_wait = waited;
+  }
+
   // Sends what the kernel takes without blocking; false when the stream
-  // died. An unsent tail waits for POLLOUT.
+  // died. An unsent tail waits for POLLOUT. Once all is sent the connection
+  // is idle again and the next frame's wait starts.
   bool Flush() {
     const std::size_t before = out_off;
     while (out_off < out.size()) {
@@ -211,6 +253,8 @@ struct Server::Connection {
     }
     out.clear();
     out_off = 0;
+    head_since.Restart();
+    head_wait = 0.0;
     return true;
   }
 
@@ -232,7 +276,8 @@ struct Server::Connection {
   Fd fd;
   std::string in;            // received bytes; the first `in_off` decoded
   std::size_t in_off = 0;
-  double arrived = 0.0;      // CLOCK_REALTIME receipt of the oldest of `in`
+  Stopwatch head_since;      // see HeadWaitSeconds
+  double head_wait = 0.0;    // socket wait of the head frame's last bytes
   std::string out;           // encoded frames; the first `out_off` sent
   std::size_t out_off = 0;
   Stopwatch since_progress;  // restarted when output starts or advances
@@ -245,7 +290,7 @@ struct Server::Connection {
 struct Server::Decoded {
   Connection* conn;
   Request req;
-  Deadline deadline;       // runs from the frame's arrival
+  Deadline deadline;       // net of the frame's wait before decode
   Stopwatch since_decode;  // queue-wait metric
 };
 
@@ -264,37 +309,41 @@ struct Server::Loop {
     uint64_t snapshot_version;
   };
 
-  // A pending tail waits for POLLOUT, a parked request for nothing, the
-  // rest for requests.
-  static struct pollfd Interest(const Connection& conn) {
-    return {conn.waiting ? -1 : conn.fd.get(),
-            static_cast<short>(conn.Flushed() ? POLLIN : POLLOUT), 0};
-  }
-
-  void RebuildPollSet(int listener, bool draining) {
-    // Draining: the wake fd stays readable and no connection is accepted.
+  void RebuildPollSet(int listener, bool draining, uint32_t max_frame_bytes) {
     pfds.resize(kFirstConn + conns.size());
-    pfds[0] = {draining ? -1 : wake.get(), POLLIN, 0};
-    pfds[1] = {draining ? -1 : listener, POLLIN, 0};
+    pfds[0] = {wake.get(), POLLIN, 0};
+    pfds[1] = {draining ? -1 : listener, POLLIN, 0};  // draining: no accepts
     for (std::size_t i = 0; i < conns.size(); ++i) {
-      pfds[kFirstConn + i] = Interest(*conns[i]);
+      pfds[kFirstConn + i] = conns[i]->Interest(max_frame_bytes);
     }
     pfds_stale = false;
   }
 
-  // Takes one pending connection; the loops race for the rest.
-  void Accept(int listener) {
-    const int fd =
-        ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
-    const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    (void)::setsockopt(fd, SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof(one));
-    conns.push_back(std::make_unique<Connection>(fd));
+  void Adopt(Fd fd) {
+    conns.push_back(std::make_unique<Connection>(std::move(fd)));
     pfds_stale = true;
   }
 
-  Fd wake;  // eventfd, written once by Stop()
+  // Clears the wake fd (Stop() or a handoff wrote it) and adopts the
+  // connections other loops handed over.
+  void TakeInbox() {
+    uint64_t writes = 0;
+    (void)!::read(wake.get(), &writes, sizeof(writes));
+    for (Fd& fd : Handoffs()) Adopt(std::move(fd));
+  }
+
+  // Empties the inbox; what it held is adopted or closed outside the lock.
+  std::vector<Fd> Handoffs() {
+    std::vector<Fd> taken;
+    MutexLock lock(&inbox_mu);
+    taken.swap(inbox);
+    return taken;
+  }
+
+  Fd wake;  // eventfd, written by Stop() and by each handoff
+  std::atomic<std::size_t> owned{0};  // connections, handoffs included
+  Mutex inbox_mu;
+  std::vector<Fd> inbox RDFCUBE_GUARDED_BY(inbox_mu);  // handed over
   std::vector<std::unique_ptr<Connection>> conns;
   std::vector<struct pollfd> pfds;
   bool pfds_stale = true;
@@ -349,7 +398,37 @@ void Server::Stop() {
   for (const std::unique_ptr<Loop>& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
+  // A handoff can race its target's exit; what it left is closed here.
+  for (const std::unique_ptr<Loop>& loop : loops_) (void)loop->Handoffs();
   listener_.Close();
+}
+
+// Takes one pending connection for the loop that owns the fewest (this one
+// on a tie), handing it over through that loop's inbox and wake fd. A
+// connection's requests all run on its owner, so spreading connections
+// spreads the work of clients that each keep one.
+void Server::Accept(Loop* loop) {
+  Fd fd(::accept4(listener_.get(), nullptr, nullptr,
+                  SOCK_NONBLOCK | SOCK_CLOEXEC));
+  if (!fd.valid()) return;  // another loop took it
+  const int one = 1;
+  (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  (void)::setsockopt(fd.get(), SOL_SOCKET, SO_TIMESTAMPNS, &one, sizeof(one));
+  Loop* target = loop;
+  for (const std::unique_ptr<Loop>& other : loops_) {
+    if (other->owned.load(std::memory_order_relaxed) <
+        target->owned.load(std::memory_order_relaxed)) {
+      target = other.get();
+    }
+  }
+  target->owned.fetch_add(1, std::memory_order_relaxed);
+  if (target == loop) return loop->Adopt(std::move(fd));
+  {
+    MutexLock lock(&target->inbox_mu);
+    target->inbox.push_back(std::move(fd));
+  }
+  const uint64_t handoff = 1;
+  (void)!::write(target->wake.get(), &handoff, sizeof(handoff));
 }
 
 void Server::RunLoop(Loop* loop) {
@@ -359,7 +438,9 @@ void Server::RunLoop(Loop* loop) {
   Deadline drain_budget;
   int timeout_ms = -1;
   for (;;) {
-    if (loop->pfds_stale) loop->RebuildPollSet(listener_.get(), draining);
+    if (loop->pfds_stale) {
+      loop->RebuildPollSet(listener_.get(), draining, options_.max_frame_bytes);
+    }
     const std::size_t polled = loop->pfds.size() - kFirstConn;
     const int rc = ::poll(loop->pfds.data(), loop->pfds.size(), timeout_ms);
     if (rc < 0 && errno != EINTR) {
@@ -373,18 +454,21 @@ void Server::RunLoop(Loop* loop) {
       loop->pfds_stale = true;
     }
 
-    // Read requests and flush parked tails.
+    // Read requests and flush parked tails. A connection holding a whole
+    // frame is not read, so its kernel buffer pushes back on the client.
     for (std::size_t i = 0; rc > 0 && i < polled; ++i) {
       if (loop->pfds[kFirstConn + i].revents == 0) continue;
       Connection* conn = loop->conns[i].get();
       if (!conn->Flushed()) {
         if (!conn->Flush()) conn->Drop();
-      } else if (!conn->Read(options_.max_frame_bytes + 4u)) {
+      } else if (!conn->HasFrame(options_.max_frame_bytes) &&
+                 !conn->Read(options_.max_frame_bytes)) {
         conn->dead = true;
       }
     }
+    if (rc > 0 && (loop->pfds[0].revents & POLLIN) != 0) loop->TakeInbox();
     if (!draining && rc > 0 && (loop->pfds[1].revents & POLLIN) != 0) {
-      loop->Accept(listener_.get());
+      Accept(loop);
     }
 
     // Decode one frame per idle connection, then evaluate in decode order.
@@ -427,9 +511,14 @@ void Server::RunLoop(Loop* loop) {
           conn->Flushed() && conn->HasFrame(options_.max_frame_bytes)) {
         wait = 0.0;  // a pipelined frame is already buffered
       }
-      if (!loop->pfds_stale) loop->pfds[kFirstConn + i] = Loop::Interest(*conn);
+      if (!loop->pfds_stale) {
+        loop->pfds[kFirstConn + i] = conn->Interest(options_.max_frame_bytes);
+      }
     }
-    if (std::erase_if(loop->conns, [](const auto& c) { return c->dead; })) {
+    const std::size_t closed =
+        std::erase_if(loop->conns, [](const auto& c) { return c->dead; });
+    if (closed != 0) {
+      loop->owned.fetch_sub(closed, std::memory_order_relaxed);
       loop->pfds_stale = true;
     }
     if (draining) {
@@ -473,7 +562,11 @@ void Server::DecodeFrame(Loop* loop, Connection* conn, bool draining) {
       const SnapshotPtr snap = store_.Current();
       if (snap != nullptr) resp.snapshot_version = snap->version();
       resp.request_id = decoded->request_id;
-      EvaluateObs(decoded->op, &resp);
+      if (decoded->op == Op::kMetrics) {
+        EvaluateMetrics(&resp);
+      } else {
+        EvaluateSlowlog(&resp);
+      }
       OpTelemetryFor(decoded->op).requests->Increment();
       return conn->Send(resp);
     } else if (loop->decoded.size() >=
@@ -489,10 +582,10 @@ void Server::DecodeFrame(Loop* loop, Connection* conn, bool draining) {
       double seconds = decoded->deadline_ms == 0
                            ? options_.default_deadline_seconds
                            : static_cast<double>(decoded->deadline_ms) / 1000.0;
-      // The budget runs from the frame's arrival: time it sat in the socket
-      // while this loop served others counts against it.
+      // The budget counts the frame's wait before decode: time it sat in
+      // the socket while this loop served others counts against it.
       seconds = std::min(seconds, options_.max_deadline_seconds) -
-                std::max(0.0, RealtimeNow() - conn->arrived);
+                conn->HeadWaitSeconds();
       loop->decoded.push_back({conn, decoded.value(),
                                Deadline(std::max(0.0, seconds)), Stopwatch()});
       conn->waiting = true;
@@ -644,9 +737,13 @@ RDFCUBE_HOT Response Server::Evaluate(const Request& req,
       EvaluateStats(snap, &resp);
       break;
     case Op::kMetrics:
+      EvaluateMetrics(&resp);
+      break;
     case Op::kSlowlog:
+      EvaluateSlowlog(&resp);
+      break;
     case Op::kTraceDump:
-      EvaluateObs(req.op, &resp);
+      EvaluateTraceDump(&resp);
       break;
   }
   return resp;
@@ -670,26 +767,38 @@ RDFCUBE_COLD void Server::EvaluateStats(const SnapshotPtr& snap,
   resp->stats[kStatsReloadFailures] = store_.reload_failures();
 }
 
-// The Prometheus scrape, the slowlog, or a trace collector someone else
-// enabled (dumped as-is, never toggled). Cold: the registry and slowlog
-// locks stay out of Evaluate's hot summary.
-RDFCUBE_COLD void Server::EvaluateObs(Op op, Response* resp) {
+// Scrape path: snapshots the registry under its mutex — cold so the lock
+// fact never reaches Evaluate's hot summary.
+RDFCUBE_COLD void Server::EvaluateMetrics(Response* resp) {
   resp->text =
-      op == Op::kMetrics
-          ? obs::MetricsToPrometheus(obs::MetricsRegistry::Global().Snapshot())
-      : op == Op::kSlowlog ? slowlog_.ToJson()
-                           : obs::TraceCollector::Global().ChromeTraceJson();
+      obs::MetricsToPrometheus(obs::MetricsRegistry::Global().Snapshot());
+  ClampObsText(options_.max_frame_bytes, resp);
+}
+
+RDFCUBE_COLD void Server::EvaluateSlowlog(Response* resp) {
+  resp->text = slowlog_.ToJson();
+  ClampObsText(options_.max_frame_bytes, resp);
+}
+
+// A kTraceDump that StartCapture declined: the collector is dumped as-is,
+// never toggled (an external capture such as a bench harness or stats
+// --report owns it, or another capture's window is open).
+RDFCUBE_COLD void Server::EvaluateTraceDump(Response* resp) {
+  resp->text = obs::TraceCollector::Global().ChromeTraceJson();
   ClampObsText(options_.max_frame_bytes, resp);
 }
 
 // On-demand capture for a window bounded by the request's limit (default
 // 100 ms), `max_trace_window_ms` and its deadline; the window is the loop's
-// poll timer. Expired, snapshot-less and external captures go to Evaluate.
+// poll timer. Expired and snapshot-less requests, and a collector already
+// capturing (external, another loop's, or this loop's parked window), go to
+// Evaluate.
 RDFCUBE_COLD bool Server::StartCapture(Loop* loop, const Decoded& decoded,
                                        const SnapshotPtr& snap,
                                        const Stopwatch& started) {
   obs::TraceCollector& collector = obs::TraceCollector::Global();
-  if (collector.enabled() || snap == nullptr || decoded.deadline.Expired()) {
+  if (collector.enabled() || loop->capture.has_value() || snap == nullptr ||
+      decoded.deadline.Expired()) {
     return false;
   }
   uint32_t window_ms = decoded.req.limit == 0 ? 100u : decoded.req.limit;

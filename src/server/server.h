@@ -1,9 +1,10 @@
 // The relationship server (DESIGN.md §6): N event loops over the published
-// RelationshipSnapshot. Each loop owns the connections it accepts and runs
-// every request on the thread that read it: read, decode, evaluate (an
-// expired deadline answers kDeadlineExceeded without touching the
-// kernels), encode into the connection's out buffer, send without
-// blocking. Past `max_queue` decoded requests per wakeup it sheds (kShed +
+// RelationshipSnapshot. An accepted connection goes to the loop owning the
+// fewest, which runs each of its requests on that loop's thread: read, decode,
+// evaluate (an expired deadline answers kDeadlineExceeded without touching
+// the kernels), encode into the connection's out buffer, send without
+// blocking. A deadline counts the time the request waited in the socket.
+// Past `max_queue` decoded requests per wakeup a loop sheds (kShed +
 // retry-after); a connection whose unsent tail makes no progress for
 // `write_timeout_seconds` is closed. Stop() drains: new frames get
 // kShuttingDown, decoded ones are answered and flushed, the loops join.
@@ -34,8 +35,8 @@ struct ServerOptions {
   /// TCP port to listen on (loopback); 0 = kernel-assigned, read back via
   /// Server::port().
   uint16_t port = 0;
-  /// Event loops (threads); each owns the connections it accepts and runs
-  /// their requests to completion. 0 is clamped to 1.
+  /// Event loops (threads); each new connection goes to the loop owning
+  /// the fewest, which runs its requests to completion. 0 is clamped to 1.
   std::size_t num_workers = 2;
   /// Decoded requests (at least 1) one loop keeps per wakeup between decode
   /// and evaluation; frames decoded beyond it are shed (kShed + retry-after).
@@ -113,13 +114,15 @@ class Server {
 
  private:
   // A connection, a decoded request and an event loop (server.cc). A loop
-  // and all it holds are touched only by its thread; Stop() only writes the
-  // loop's wake fd and joins it.
+  // and all it holds are touched only by its thread, except its wake fd,
+  // connection count and inbox, through which other loops hand it accepted
+  // connections; Stop() writes its wake fd and joins it.
   struct Connection;
   struct Decoded;
   struct Loop;
 
   void RunLoop(Loop* loop);
+  void Accept(Loop* loop);
   // Decodes at most one frame of `conn`: queues it on `loop`, or answers it
   // inline (shed, bad frame, draining, exempt obs ops).
   void DecodeFrame(Loop* loop, Connection* conn, bool draining);
@@ -132,9 +135,12 @@ class Server {
                     const Deadline& deadline);
   void EvaluateStats(const SnapshotPtr& snap, Response* resp);
   // Cold text of kMetrics/kSlowlog/kTraceDump (DESIGN.md §5d).
-  void EvaluateObs(Op op, Response* resp);
-  // kTraceDump with the collector off: enables it and parks the request on
-  // its loop (false => evaluate it normally); FinishCapture answers it.
+  void EvaluateMetrics(Response* resp);
+  void EvaluateSlowlog(Response* resp);
+  void EvaluateTraceDump(Response* resp);
+  // kTraceDump with the collector off and no capture parked on `loop`:
+  // enables it and parks the request (false => evaluate it normally);
+  // FinishCapture answers it.
   bool StartCapture(Loop* loop, const Decoded& decoded,
                     const SnapshotPtr& snap, const Stopwatch& started);
   void FinishCapture(Loop* loop);

@@ -52,6 +52,13 @@ class Fd {
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
 
+  /// Releases ownership without closing; returns the raw descriptor.
+  int Release() {
+    int fd = fd_;
+    fd_ = -1;
+    return fd;
+  }
+
   /// Closes the descriptor now (idempotent).
   void Close();
 

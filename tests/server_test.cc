@@ -9,9 +9,15 @@
 // orderly drain.
 
 #include <gtest/gtest.h>
+#include <linux/sockios.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/ioctl.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -1643,6 +1649,247 @@ TEST_F(ServerClientTest, TraceCaptureDoesNotHoldItsLoop) {
   EXPECT_TRUE(collector.enabled()) << "the ping waited out the window";
   capture.join();
   EXPECT_FALSE(collector.enabled());
+}
+
+// Live value of a gauge in the global registry (0 when unregistered).
+int64_t GlobalGaugeValue(const std::string& name) {
+  for (const obs::GaugeSample& g :
+       obs::MetricsRegistry::Global().Snapshot().gauges) {
+    if (g.name == name) return g.value;
+  }
+  return 0;
+}
+
+TEST_F(ServerClientTest, ASecondCaptureNeverDisplacesAParkedOne) {
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
+  ASSERT_FALSE(collector.enabled());
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(MakeRunningExample(), options);
+  const int64_t in_flight_before =
+      GlobalGaugeValue("rdfcube_server_in_flight_requests");
+  Client first = MakeClient(0);
+  std::thread capture([&] {
+    auto json = first.TraceDump(/*window_ms=*/500);
+    EXPECT_TRUE(json.ok()) << "the parked capture was never answered: "
+                           << json.status().ToString();
+  });
+  const Deadline give_up(5.0);
+  while (!collector.enabled() && !give_up.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(collector.enabled()) << "the capture window never opened";
+  // What another loop's capture does when its window closes first.
+  collector.Disable();
+  Client second = MakeClient(0);
+  auto json = second.TraceDump(/*window_ms=*/50);
+  EXPECT_TRUE(json.ok()) << json.status().ToString();
+  capture.join();
+  EXPECT_FALSE(collector.enabled());
+  // Each answer's epilogue runs just after its send.
+  while (GlobalGaugeValue("rdfcube_server_in_flight_requests") !=
+             in_flight_before &&
+         !give_up.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(GlobalGaugeValue("rdfcube_server_in_flight_requests"),
+            in_flight_before);
+}
+
+TEST_F(ServerClientTest, ConnectionsSpreadOverTheLoops) {
+  obs::TraceCollector& collector = obs::TraceCollector::Global();
+  ASSERT_FALSE(collector.enabled());
+  ServerOptions options;
+  options.num_workers = 4;
+  StartServer(MakeRunningExample(), options);
+  std::vector<Client> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(MakeClient());
+    // Answered, so owned by a loop before the next one connects.
+    ASSERT_TRUE(clients.back().Ping().ok());
+  }
+  collector.Enable();
+  for (Client& client : clients) EXPECT_TRUE(client.Ping().ok());
+  // A request's span ends just after its answer is sent.
+  std::vector<uint32_t> threads;
+  const Deadline give_up(5.0);
+  while (threads.size() < clients.size() && !give_up.Expired()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    threads.clear();
+    for (const obs::SpanEvent& span : collector.Snapshot()) {
+      if (span.name == "server/handle") threads.push_back(span.thread_index);
+    }
+  }
+  collector.Disable();
+  ASSERT_EQ(threads.size(), clients.size());
+  EXPECT_EQ(std::set<uint32_t>(threads.begin(), threads.end()).size(),
+            clients.size())
+      << "two connections share a loop";
+}
+
+// `payload` behind its u32 little-endian length prefix.
+std::string Framed(const std::string& payload) {
+  std::string frame(4, '\0');
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<char>(payload.size() >> (8 * i));
+  }
+  return frame + payload;
+}
+
+// Writes raw bytes, whole frames or not, to a non-blocking socket.
+bool SendRaw(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n =
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      struct pollfd pfd = {fd, POLLOUT, 0};
+      (void)::poll(&pfd, 1, 100);
+    } else {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The server's end of the loopback connection `client` (the server runs in
+// this process): the socket whose local address is the client's peer and
+// whose peer is the client's local address; -1 when there is none.
+int ServerEndOf(int client) {
+  struct sockaddr_in local, peer;
+  socklen_t len = sizeof(local);
+  if (::getsockname(client, reinterpret_cast<struct sockaddr*>(&local),
+                    &len) != 0) {
+    return -1;
+  }
+  len = sizeof(peer);
+  if (::getpeername(client, reinterpret_cast<struct sockaddr*>(&peer),
+                    &len) != 0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 4096; ++fd) {
+    struct sockaddr_in mine, theirs;
+    socklen_t mine_len = sizeof(mine), theirs_len = sizeof(theirs);
+    if (fd == client ||
+        ::getsockname(fd, reinterpret_cast<struct sockaddr*>(&mine),
+                      &mine_len) != 0 ||
+        ::getpeername(fd, reinterpret_cast<struct sockaddr*>(&theirs),
+                      &theirs_len) != 0) {
+      continue;
+    }
+    if (mine.sin_family == AF_INET && mine.sin_port == peer.sin_port &&
+        theirs.sin_port == local.sin_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+TEST_F(ServerClientTest, PipelinedRequestsAreReadNoFasterThanTheyAreDecoded) {
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(MakeRunningExample(), options);
+  auto conn = ConnectTo("127.0.0.1", server_->port(), Deadline(2.0));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const int fd = conn->get();
+  Request ping;
+  ping.op = Op::kPing;
+  ping.deadline_ms = 10000;
+  const std::string payload = EncodeRequest(ping);
+  std::string reply;
+  ASSERT_TRUE(WriteFrame(fd, payload, Deadline(2.0)).ok());
+  ASSERT_TRUE(ReadFrame(fd, &reply, kDefaultMaxFrameBytes, Deadline(2.0)).ok());
+  const int server_end = ServerEndOf(fd);
+  ASSERT_GE(server_end, 0);
+
+  const std::string frame = Framed(payload);
+  std::string chunk;
+  while (chunk.size() < (64u << 10)) chunk += frame;
+  // Bytes we sent that were not answered yet are unsent in our socket,
+  // queued in the server's, in flight on loopback, or read by the server.
+  // What it read without decoding stays within one frame plus one read
+  // (4 KiB); the rest of the bound covers answers and segments in flight.
+  const std::size_t bound =
+      kDefaultMaxFrameBytes + 4 + 4096 + (std::size_t{512} << 10);
+  std::size_t sent = 0, answered = 0, worst = 0;
+  std::string in;
+  char buf[1 << 16];
+  const Deadline stop_sending(1.0);
+  while (!stop_sending.Expired()) {
+    const std::size_t at = sent % chunk.size();
+    const ssize_t n = ::send(fd, chunk.data() + at, chunk.size() - at,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      sent += static_cast<std::size_t>(n);
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK) << errno;
+      struct pollfd pfd = {fd, POLLIN | POLLOUT, 0};
+      (void)::poll(&pfd, 1, 1);
+    }
+    ssize_t got;
+    while ((got = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT)) > 0) {
+      in.append(buf, static_cast<std::size_t>(got));
+    }
+    std::size_t off = 0;
+    while (in.size() - off >= 4) {
+      uint32_t size = 0;
+      for (int i = 0; i < 4; ++i) {
+        size |= static_cast<uint32_t>(static_cast<unsigned char>(in[off + i]))
+                << (8 * i);
+      }
+      if (in.size() - off < 4 + size) break;
+      off += 4 + size;
+      ++answered;
+    }
+    in.erase(0, off);
+    int queued = 0, unsent = 0;
+    ASSERT_EQ(::ioctl(server_end, FIONREAD, &queued), 0);
+    ASSERT_EQ(::ioctl(fd, SIOCOUTQNSD, &unsent), 0);
+    const std::size_t accounted = answered * frame.size() +
+                                  static_cast<std::size_t>(queued) +
+                                  static_cast<std::size_t>(unsent);
+    worst = std::max(worst, sent - std::min(sent, accounted));
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_LT(worst, bound) << "the server read " << worst
+                          << " bytes ahead of its decoding";
+  conn->Close();
+  Client client = MakeClient();
+  EXPECT_TRUE(client.Ping().ok());
+}
+
+TEST_F(ServerClientTest, PipelinedRequestsEachGetTheirOwnDeadline) {
+  ServerOptions options;
+  options.num_workers = 1;
+  StartServer(MakeRunningExample(), options);
+  auto conn = ConnectTo("127.0.0.1", server_->port(), Deadline(2.0));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  Request ping;
+  ping.op = Op::kPing;  // deadline_ms 0: the server's default budget
+  const std::string frame = Framed(EncodeRequest(ping));
+  const std::string head = frame.substr(0, 1), tail = frame.substr(1);
+  // Two requests in flight and the first byte of a third: for longer than
+  // the default budget the connection's buffer is never empty, yet each
+  // request's clock starts on its own.
+  ASSERT_TRUE(SendRaw(conn->get(), frame + frame + head));
+  const Stopwatch watch;
+  std::size_t answers = 0;
+  std::string reply;
+  while (watch.ElapsedSeconds() < options.default_deadline_seconds + 0.5) {
+    ASSERT_TRUE(
+        ReadFrame(conn->get(), &reply, kDefaultMaxFrameBytes, Deadline(2.0))
+            .ok());
+    auto resp = DecodeResponse(reply);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->code, RespCode::kOk)
+        << "answer " << answers << " at " << watch.ElapsedMillis() << " ms";
+    ++answers;
+    ASSERT_TRUE(SendRaw(conn->get(), tail + head));
+  }
+  EXPECT_GT(answers, 100u);
+  EXPECT_EQ(server_->deadline_expired_total(), 0u);
 }
 
 TEST_F(ServerClientTest, ObsOpsCanBeForcedThroughAdmission) {

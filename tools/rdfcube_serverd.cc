@@ -3,8 +3,8 @@
 //   rdfcube_serverd <corpus.(ttl|bin)> [options]
 //       --port=<n>            listen port (default 0 = ephemeral; the bound
 //                             port is printed as "serving on port <n>")
-//       --workers=<n>         event loops; each serves the connections it
-//                             accepts, request by request (default 2)
+//       --workers=<n>         event loops; each new connection goes to the
+//                             loop serving the fewest (default 2)
 //       --queue=<n>           decoded requests one loop holds per wakeup;
 //                             more are shed with retry-after (default 64)
 //       --retry-after-ms=<n>  backoff hint on shed responses (default 50)
