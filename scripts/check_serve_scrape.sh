@@ -9,7 +9,9 @@
 #      the request mix EXACTLY — evaluated ops count, inline obs scrapes
 #      count only toward their own op, and a scrape never counts itself
 #      (RED attribution is exact, not approximate),
-#   3. exercises the slowlog and tracez endpoints end-to-end, and
+#   3. exercises the slowlog and tracez endpoints end-to-end: requests go
+#      out while a 1 s capture window is open, and the captured trace must
+#      hold at least one server/handle span, and
 #   4. SIGTERMs the daemon and requires an orderly drain (exit 0 plus the
 #      structured "drained" log line).
 #
@@ -61,13 +63,35 @@ echo "serverd up on $addr"
 # The known request mix (per-op counts asserted against the scrape below):
 # 7 ping + 3 containers + 2 scan + 1 stats are evaluated by an event loop,
 # 1 tracedump is evaluated too (its connection waits out the capture window
-# while the loop serves others), and 1 slowlog is answered inline at
-# decode. 14 evaluated requests total.
+# while the loops serve others), N contained requests are sent while the
+# capture runs (N counted here, at least one), and 1 slowlog is answered
+# inline at decode. 14 + N evaluated requests total.
 for _ in 1 2 3 4 5 6 7; do "$cli" query "$addr" ping      > /dev/null; done
 for _ in 1 2 3;         do "$cli" query "$addr" containers 0 > /dev/null; done
 for _ in 1 2;           do "$cli" query "$addr" scan --limit=5 > /dev/null; done
 "$cli" query "$addr" stats              > /dev/null
-"$cli" query "$addr" tracez --limit=10  > "$out_dir/tracez.json"
+# A 1 s window (the server's max_trace_window_ms) with traffic inside it:
+# requests keep going until the capture answers, so some land in the window.
+rm -f "$out_dir/tracez.rc"
+( rc=0
+  "$cli" query "$addr" tracez --limit=1000 > "$out_dir/tracez.json" || rc=$?
+  echo "$rc" > "$out_dir/tracez.rc" ) &
+trace_pid=$!
+during=0
+while [ ! -e "$out_dir/tracez.rc" ]; do
+  "$cli" query "$addr" contained 0 > /dev/null
+  during=$((during + 1))
+  if [ "$during" -gt 20000 ]; then
+    echo "FAIL: the tracez capture never answered" >&2
+    exit 1
+  fi
+done
+wait "$trace_pid"
+if [ "$(cat "$out_dir/tracez.rc")" != 0 ]; then
+  echo "FAIL: tracez query failed" >&2
+  exit 1
+fi
+echo "$during contained requests sent during the capture window"
 "$cli" query "$addr" slowlog            > "$out_dir/slowlog.json"
 "$cli" query "$addr" metrics            > "$out_dir/metrics.prom"
 
@@ -76,11 +100,12 @@ scripts/check_prometheus.sh "$out_dir/metrics.prom"
 
 echo "== exact per-op attribution =="
 python3 - "$out_dir/metrics.prom" "$out_dir/slowlog.json" \
-          "$out_dir/tracez.json" <<'EOF'
+          "$out_dir/tracez.json" "$during" <<'EOF'
 import json
 import sys
 
 scrape_path, slowlog_path, tracez_path = sys.argv[1:4]
+during = int(sys.argv[4])
 values = {}
 with open(scrape_path) as f:
     for line in f:
@@ -96,13 +121,14 @@ with open(scrape_path) as f:
 expected = {
     "rdfcube_server_ping_requests_total": 7,
     "rdfcube_server_containers_requests_total": 3,
+    "rdfcube_server_contained_requests_total": during,
     "rdfcube_server_scan_requests_total": 2,
     "rdfcube_server_stats_requests_total": 1,
     "rdfcube_server_tracedump_requests_total": 1,
     "rdfcube_server_slowlog_requests_total": 1,
     "rdfcube_server_metrics_requests_total": 0,
     # Evaluated tally: slowlog and metrics were answered inline at decode.
-    "rdfcube_server_requests_total": 14,
+    "rdfcube_server_requests_total": 14 + during,
     "rdfcube_server_shed_total": 0,
 }
 for name, want in expected.items():
@@ -124,10 +150,17 @@ with open(tracez_path) as f:
     trace = json.load(f)
 if "traceEvents" not in trace:
     sys.exit("FAIL: tracez output is not Chrome trace JSON")
+# The capture saw the requests served during its window.
+handled = [e for e in trace["traceEvents"] if e.get("name") == "server/handle"]
+if not handled:
+    sys.exit(f"FAIL: the capture holds no server/handle span "
+             f"({len(trace['traceEvents'])} events, {during} requests sent "
+             f"during the window)")
 
 print(f"OK: per-op counters match the request mix exactly "
       f"({len(slowlog)} slowlog entries, "
-      f"{len(trace['traceEvents'])} trace events)")
+      f"{len(trace['traceEvents'])} trace events, "
+      f"{len(handled)} server/handle spans)")
 EOF
 
 echo "== orderly drain =="

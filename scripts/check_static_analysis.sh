@@ -46,7 +46,7 @@
 #   4. clang -Wthread-safety: a separate build tree configured with
 #      -DRDFCUBE_THREAD_SAFETY=ON compiles the library under
 #      -Wthread-safety -Wthread-safety-beta -Werror, turning the
-#      util/thread_annotations.h capability annotations into a compile-time
+#      base/thread_annotations.h capability annotations into a compile-time
 #      lock-discipline proof. Skipped with a notice when clang++ is absent.
 #   5. gcc -fanalyzer over the leaf libraries (src/util, src/obs, src/rdf:
 #      no dependencies above the C++ runtime, so the path-sensitive analysis

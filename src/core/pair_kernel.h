@@ -5,11 +5,11 @@
 // dimension space (paper §3.1): `a` contains `b` on dimension d when a's
 // value is an ancestor-or-self of b's, i.e. when a's Euler-tour interval
 // encloses b's. Every form below reduces to Encloses on those labels: the
-// ObservationSet forms (incremental engine, snapshot refresh delta,
-// distributed cross phase) read them through the code lists, the row forms
-// (cubeMasking's passes) read them packed in a MemberTable. The measure gate
-// (Def. 4 condition 3) stays with the callers: complementarity must not
-// apply it.
+// ObservationSet forms (incremental engine, distributed cross phase) read
+// them through the code lists, the row forms (cubeMasking's passes, the
+// snapshot refresh delta) read them packed, in a MemberTable or a corpus-wide
+// label array. The measure gate (Def. 4 condition 3) stays with the callers:
+// complementarity must not apply it.
 
 #ifndef RDFCUBE_CORE_PAIR_KERNEL_H_
 #define RDFCUBE_CORE_PAIR_KERNEL_H_
@@ -132,6 +132,16 @@ RDFCUBE_HOT inline DimPlan PlanDims(const CubeSignature& outer,
   return plan;
 }
 
+/// The plan of a pair whose level signatures are not at hand (the snapshot
+/// refresh delta): every one of the `num_dims` dimensions is tested.
+/// Precondition: num_dims <= kMaxPlanDims.
+RDFCUBE_HOT inline DimPlan AllDimsTested(std::size_t num_dims) {
+  DimPlan plan;
+  plan.tested = num_dims == kMaxPlanDims ? ~uint64_t{0}
+                                         : (uint64_t{1} << num_dims) - 1;
+  return plan;
+}
+
 // The row forms walk the set bits of plan.tested: a loop whose trip count
 // the vectorizer cannot compute, which suits the few dimensions a typical
 // plan leaves open better than vector code would.
@@ -153,6 +163,20 @@ RDFCUBE_HOT inline uint32_t CountTestedDims(const DimPlan& plan,
   return count;
 }
 
+/// Row form of CountContainingDimsBothWays over the plan's tested
+/// dimensions, for callers that classify an unordered pair.
+RDFCUBE_HOT inline ContainingDims CountTestedDimsBothWays(const DimPlan& plan,
+                                                          const DimLabel* a,
+                                                          const DimLabel* b) {
+  ContainingDims counts;
+  for (uint64_t open = plan.tested; open != 0; open &= open - 1) {
+    const int d = std::countr_zero(open);
+    counts.ab += Encloses(a[d], b[d]) ? 1 : 0;
+    counts.ba += Encloses(b[d], a[d]) ? 1 : 0;
+  }
+  return counts;
+}
+
 /// Row form of full dimensional containment for a plan without never
 /// dimensions: `a` contains `b` on every tested dimension.
 RDFCUBE_HOT inline bool TestedDimsContain(const DimPlan& plan,
@@ -168,6 +192,7 @@ RDFCUBE_HOT inline bool TestedDimsContain(const DimPlan& plan,
 /// Row form of ValuesEqual for two members of one cube, with `plan` from
 /// PlanDims(cube, cube): they agree on every root dimension already, and a
 /// label's pre names its code, so equal pre on the tested ones suffices.
+/// With AllDimsTested it is ValuesEqual for any two rows.
 RDFCUBE_HOT inline bool TestedValuesEqual(const DimPlan& plan,
                                           const DimLabel* a,
                                           const DimLabel* b) {

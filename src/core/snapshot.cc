@@ -15,6 +15,7 @@
 #include "core/cube_masking.h"
 #include "core/pair_kernel.h"
 #include "core/snapshot_io.h"
+#include "hierarchy/code_list.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/binary_io.h"
@@ -135,8 +136,8 @@ struct PartialEntry {
 uint32_t CountOf(const PairEntry&) { return 0; }
 uint32_t CountOf(const PartialEntry& e) { return e.count; }
 
-// Relationships as cubeMasking or the refresh delta produce them, in any
-// order, at most 12 bytes each (CollectingSink's partial records take 24).
+// Relationships as cubeMasking produces them, in any order, at most 12
+// bytes each (CollectingSink's partial records take 24).
 struct Emissions : public RelationshipSink {
   explicit Emissions(std::size_t num_dims)
       : dims(static_cast<double>(num_dims)) {}
@@ -159,20 +160,42 @@ struct Emissions : public RelationshipSink {
   BlockBuffer<PairEntry> compl_upper;  // a < b
 };
 
-// Counting sort into CSR rows over `n` observations. `for_each(place)` must
-// call place(row, partner, count) once per entry, identically on both of its
-// calls (count, then place); each row keeps its entries in call order.
+uint64_t RowLength(const Rows& rows, std::size_t r) {
+  return r + 1 < rows.offsets.size() ? rows.offsets[r + 1] - rows.offsets[r]
+                                     : 0;
+}
+
+// Counting sort into CSR rows over `n` observations: row r is `prefix`'s
+// row r (empty past its end), then the entries for r, each output entry
+// written once. `for_each(place)` must call place(row, partner, count) once
+// per entry, identically on both of its calls (count, then place); each row
+// keeps its entries in call order. Rows come out ascending when every
+// row's entries do and exceed the row's prefix.
 template <typename ForEach>
-Rows Scatter(std::size_t n, bool with_counts, ForEach&& for_each) {
+Rows Scatter(std::size_t n, const Rows& prefix, bool with_counts,
+             ForEach&& for_each) {
   Rows out;
   out.offsets.assign(n + 1, 0);
   for_each([&out](qb::ObsId row, qb::ObsId, uint32_t) {
     ++out.offsets[row + 1];
   });
-  for (std::size_t r = 0; r < n; ++r) out.offsets[r + 1] += out.offsets[r];
+  for (std::size_t r = 0; r < n; ++r) {
+    out.offsets[r + 1] += out.offsets[r] + RowLength(prefix, r);
+  }
   out.ids.resize(out.offsets[n]);
   if (with_counts) out.counts.resize(out.offsets[n]);
-  std::vector<uint64_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  std::vector<uint64_t> next(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const uint64_t len = RowLength(prefix, r);
+    next[r] = out.offsets[r] + len;
+    if (len == 0) continue;
+    const uint64_t from = prefix.offsets[r];
+    std::copy_n(prefix.ids.data() + from, len, out.ids.data() + out.offsets[r]);
+    if (with_counts) {
+      std::copy_n(prefix.counts.data() + from, len,
+                  out.counts.data() + out.offsets[r]);
+    }
+  }
   for_each([&](qb::ObsId row, qb::ObsId partner, uint32_t count) {
     const uint64_t pos = next[row]++;
     out.ids[pos] = partner;
@@ -183,10 +206,10 @@ Rows Scatter(std::size_t n, bool with_counts, ForEach&& for_each) {
 
 // Row r of the result lists every p whose row in `in` holds r. Walking `in`
 // in row order leaves each result row ascending: the freeze primitive every
-// build, refresh and load goes through.
+// build and load goes through.
 Rows Transpose(const Rows& in, std::size_t n) {
   const bool with_counts = !in.counts.empty();
-  return Scatter(n, with_counts, [&](auto&& place) {
+  return Scatter(n, Rows{}, with_counts, [&](auto&& place) {
     for (std::size_t r = 0; r < n; ++r) {
       for (uint64_t pos = in.offsets[r]; pos < in.offsets[r + 1]; ++pos) {
         place(in.ids[pos], static_cast<qb::ObsId>(r),
@@ -201,82 +224,91 @@ Rows Transpose(const Rows& in, std::size_t n) {
 // O(n + m)). The buffer is released between the passes to bound the peak.
 template <typename T>
 Rows Freeze(std::size_t n, bool with_counts, BlockBuffer<T>* entries) {
-  Rows by_partner = Scatter(n, with_counts, [&](auto&& place) {
+  Rows by_partner = Scatter(n, Rows{}, with_counts, [&](auto&& place) {
     entries->ForEach([&](const T& e) { place(e.b, e.a, CountOf(e)); });
   });
   entries->Release();
   return Transpose(by_partner, n);
 }
 
-uint64_t RowLength(const Rows& rows, std::size_t r) {
-  return r + 1 < rows.offsets.size() ? rows.offsets[r + 1] - rows.offsets[r]
-                                     : 0;
-}
-
-// Row r of the result is x's row r followed by y's (rows past the end of x
-// are empty). Rows stay ascending because wherever this is used every
-// partner in y's row r exceeds every partner in x's row r: a refresh
-// appends ids above the base's, and a complement row's lower partners
-// precede its upper ones.
-Rows ConcatRows(std::size_t n, const Rows& x, const Rows& y) {
-  const bool with_counts = !x.counts.empty() || !y.counts.empty();
-  Rows out;
-  out.offsets.assign(n + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    out.offsets[r + 1] = out.offsets[r] + RowLength(x, r) + RowLength(y, r);
-  }
-  out.ids.resize(out.offsets[n]);
-  if (with_counts) out.counts.resize(out.offsets[n]);
-  for (std::size_t r = 0; r < n; ++r) {
-    uint64_t pos = out.offsets[r];
-    for (const Rows* part : {&x, &y}) {
-      const uint64_t len = RowLength(*part, r);
-      if (len == 0) continue;
-      const uint64_t from = part->offsets[r];
-      std::copy_n(part->ids.data() + from, len, out.ids.data() + pos);
-      if (with_counts) {
-        std::copy_n(part->counts.data() + from, len, out.counts.data() + pos);
-      }
-      pos += len;
-    }
-  }
-  return out;
-}
-
 // The rows Build derives instead of storing: containers are the transpose
 // of full containment, and complement rows hold both directions (the
-// transposed upper pairs, then the upper pairs). LoadFrom validates every
-// stored row before calling this, so the sizes here are bounded by arrays
-// already held in memory.
+// transposed upper pairs, then the upper pairs, which exceed the row).
+// LoadFrom validates every stored row before calling this, so the sizes
+// here are bounded by arrays already held in memory.
 RDFCUBE_TAINT_BARRIER void DeriveRows(std::size_t n, const Rows& full,
                                       const Rows& compl_upper,
                                       Rows* containers, Rows* complements) {
   *containers = Transpose(full, n);
-  *complements = ConcatRows(n, Transpose(compl_upper, n), compl_upper);
+  *complements =
+      Scatter(n, Transpose(compl_upper, n), false, [&](auto&& place) {
+        for (std::size_t r = 0; r < n; ++r) {
+          for (uint64_t pos = compl_upper.offsets[r];
+               pos < compl_upper.offsets[r + 1]; ++pos) {
+            place(static_cast<qb::ObsId>(r), compl_upper.ids[pos], 0u);
+          }
+        }
+      });
 }
 
-// One unordered pair {x, y}, x < y, through cubeMasking's pair kernel in
-// both directions: emits exactly what the fused pass emits for it.
-void EvaluatePair(const qb::ObservationSet& observations,
-                  const RelationshipSelector& sel, qb::ObsId x, qb::ObsId y,
-                  Emissions* out) {
+// The relationships of a refresh's delta pairs, in evaluation order:
+// appended y ascending outside, x < y ascending inside.
+struct Delta {
+  std::vector<PairEntry> full;
+  std::vector<PartialEntry> partial;
+  std::vector<PairEntry> compl_upper;  // a < b
+};
+
+// Evaluates every pair {x, y}, x < y, with y in [base_n, n) through the
+// pair kernel's row forms over the corpus packed once (root-padded labels
+// and measure masks): emits exactly what the fused pass emits for it.
+Status EvaluateDelta(const qb::ObservationSet& observations,
+                     const RelationshipSelector& sel, qb::ObsId base_n,
+                     const Deadline& deadline, Delta* delta) {
+  const std::size_t n = observations.size();
   const std::size_t k = observations.space().num_dimensions();
-  if ((sel.full_containment || sel.partial_containment) &&
-      observations.SharesMeasure(x, y)) {
-    const ContainingDims counts =
-        CountContainingDimsBothWays(observations, x, y);
-    for (const auto& [a, b, count] :
-         {std::tuple{x, y, counts.ab}, std::tuple{y, x, counts.ba}}) {
-      if (count == k) {
-        if (sel.full_containment) out->full.Push({a, b});
-      } else if (count > 0 && sel.partial_containment) {
-        out->partial.Push({a, b, static_cast<uint32_t>(count)});
+  std::vector<DimLabel> labels(n * k);
+  std::vector<uint64_t> masks(n);
+  for (qb::DimId d = 0; d < k; ++d) {
+    const hierarchy::CodeList& list = observations.space().code_list(d);
+    const hierarchy::EulerLabels euler = list.euler_labels();
+    for (qb::ObsId i = 0; i < n; ++i) {
+      const hierarchy::CodeId c = observations.obs(i).dims[d];
+      const hierarchy::CodeId code = c == hierarchy::kNoCode ? list.root() : c;
+      labels[std::size_t{i} * k + d] = {euler.pre[code], euler.post[code]};
+    }
+  }
+  for (qb::ObsId i = 0; i < n; ++i) masks[i] = observations.obs(i).measure_mask;
+
+  const DimPlan plan = AllDimsTested(k);
+  const bool contain = sel.full_containment || sel.partial_containment;
+  for (qb::ObsId y = base_n; y < n; ++y) {
+    if (deadline.Expired()) {
+      return Status::TimedOut(
+          "snapshot refresh deadline expired at observation " +
+          std::to_string(y));
+    }
+    RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(y));
+    const DimLabel* ly = labels.data() + std::size_t{y} * k;
+    for (qb::ObsId x = 0; x < y; ++x) {
+      const DimLabel* lx = labels.data() + std::size_t{x} * k;
+      if (contain && (masks[x] & masks[y]) != 0) {
+        const ContainingDims counts = CountTestedDimsBothWays(plan, lx, ly);
+        for (const auto& [a, b, count] :
+             {std::tuple{x, y, counts.ab}, std::tuple{y, x, counts.ba}}) {
+          if (count == k) {
+            if (sel.full_containment) delta->full.push_back({a, b});
+          } else if (count > 0 && sel.partial_containment) {
+            delta->partial.push_back({a, b, static_cast<uint32_t>(count)});
+          }
+        }
+      }
+      if (sel.complementarity && TestedValuesEqual(plan, lx, ly)) {
+        delta->compl_upper.push_back({x, y});
       }
     }
   }
-  if (sel.complementarity && ValuesEqual(observations, x, y)) {
-    out->compl_upper.Push({x, y});
-  }
+  return Status::OK();
 }
 
 // Complement rows restricted to partners above their row (the stored form).
@@ -419,50 +451,79 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
   return Ptr(snap);
 }
 
+namespace {
+
+// Whether `observations` extends the base snapshot's corpus: the same
+// observations in [0, base.num_observations()), by prefix fingerprint.
+bool ExtendsBase(const RelationshipSnapshot& base,
+                 const qb::ObservationSet& observations) {
+  const std::size_t base_n = base.num_observations();
+  return observations.size() >= base_n &&
+         FingerprintObservationsPrefix(observations,
+                                       static_cast<qb::ObsId>(base_n)) ==
+             base.fingerprint();
+}
+
+}  // namespace
+
 Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::BuildIncremental(
     const RelationshipSnapshot& base, qb::Corpus corpus,
     const BuildOptions& options) {
-  obs::TraceSpan span("core/snapshot_refresh");
   if (corpus.space == nullptr || corpus.observations == nullptr) {
     return Status::InvalidArgument("snapshot refresh needs a complete corpus");
   }
-  const qb::ObsId base_n = static_cast<qb::ObsId>(base.num_observations());
-  const qb::ObsId new_n = static_cast<qb::ObsId>(corpus.observations->size());
-  if (new_n < base_n ||
-      FingerprintObservationsPrefix(*corpus.observations, base_n) !=
-          base.fingerprint()) {
+  if (!ExtendsBase(base, *corpus.observations)) {
     return Status::FailedPrecondition(
         "refreshed corpus does not extend the base snapshot's corpus");
   }
+  return Refresh(base, std::move(corpus), options);
+}
+
+Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::BuildOrRefresh(
+    const RelationshipSnapshot* base, qb::Corpus corpus,
+    const BuildOptions& options) {
+  if (base != nullptr && corpus.space != nullptr &&
+      corpus.observations != nullptr &&
+      ExtendsBase(*base, *corpus.observations)) {
+    return Refresh(*base, std::move(corpus), options);
+  }
+  return Build(std::move(corpus), options);
+}
+
+Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Refresh(
+    const RelationshipSnapshot& base, qb::Corpus corpus,
+    const BuildOptions& options) {
+  obs::TraceSpan span("core/snapshot_refresh");
+  const qb::ObsId base_n = static_cast<qb::ObsId>(base.num_observations());
   std::shared_ptr<RelationshipSnapshot> snap(new RelationshipSnapshot(
       std::move(corpus), base.selector_, options.version));
   const qb::ObservationSet& observations = snap->observations();
+  const std::size_t n = observations.size();
 
   // The delta: every pair with at least one appended observation. Appended
-  // ids sort after every base id, so each base row only gains a tail.
-  Emissions delta(observations.space().num_dimensions());
-  for (qb::ObsId y = base_n; y < new_n; ++y) {
-    if (options.deadline.Expired()) {
-      return Status::TimedOut(
-          "snapshot refresh deadline expired at observation " +
-          std::to_string(y));
+  // ids sort after every base id, so each base row only gains a tail, and
+  // the evaluation order already leaves every row ascending: each row is
+  // written once, its base row first, then its delta in that order.
+  Delta delta;
+  RDFCUBE_RETURN_IF_ERROR(EvaluateDelta(observations, snap->selector_,
+                                        base_n, options.deadline, &delta));
+  snap->full_ = Scatter(n, base.full_, false, [&](auto&& place) {
+    for (const PairEntry& e : delta.full) place(e.a, e.b, 0u);
+  });
+  snap->containers_ = Scatter(n, base.containers_, false, [&](auto&& place) {
+    for (const PairEntry& e : delta.full) place(e.b, e.a, 0u);
+  });
+  snap->partial_ = Scatter(n, base.partial_, true, [&](auto&& place) {
+    for (const PartialEntry& e : delta.partial) place(e.a, e.b, e.count);
+  });
+  snap->compl_ = Scatter(n, base.compl_, false, [&](auto&& place) {
+    for (const PairEntry& e : delta.compl_upper) {
+      place(e.a, e.b, 0u);
+      place(e.b, e.a, 0u);
     }
-    RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(y));
-    for (qb::ObsId x = 0; x < y; ++x) {
-      EvaluatePair(observations, snap->selector_, x, y, &delta);
-    }
-  }
-  const Rows delta_full = Freeze(new_n, false, &delta.full);
-  const Rows delta_partial = Freeze(new_n, true, &delta.partial);
-  const Rows delta_upper = Freeze(new_n, false, &delta.compl_upper);
-  Rows delta_containers, delta_compl;
-  DeriveRows(new_n, delta_full, delta_upper, &delta_containers, &delta_compl);
-  snap->full_ = ConcatRows(new_n, base.full_, delta_full);
-  snap->containers_ = ConcatRows(new_n, base.containers_, delta_containers);
-  snap->partial_ = ConcatRows(new_n, base.partial_, delta_partial);
-  snap->compl_ = ConcatRows(new_n, base.compl_, delta_compl);
+  });
   snap->fingerprint_ = FingerprintObservations(observations);
-  CountObservations(new_n - base_n);
+  CountObservations(n - base_n);
   static obs::Counter& refreshes = obs::DefaultCounter(
       "rdfcube_core_snapshot_refreshes_total",
       "Relationship snapshots built incrementally from a base snapshot");

@@ -5,10 +5,10 @@
 // scans without any kernel work: a lookup copies one row, a scan walks rows
 // in (kind, a, b) order and stops at its limit. Snapshots are immutable
 // after Build(): a refreshed corpus produces a *new* snapshot (copy-on-write
-// via BuildIncremental, which copies the base rows and appends only the
-// pairs that involve the appended observations), and readers holding the
-// old shared_ptr keep a consistent view for as long as they need it. This is
-// the read side the relationship server publishes atomically.
+// via BuildIncremental, which writes each base row once with the
+// relationships of the appended observations after it), and readers holding
+// the old shared_ptr keep a consistent view for as long as they need it.
+// This is the read side the relationship server publishes atomically.
 
 #ifndef RDFCUBE_CORE_SNAPSHOT_H_
 #define RDFCUBE_CORE_SNAPSHOT_H_
@@ -115,15 +115,27 @@ class RelationshipSnapshot {
 
   /// \brief Copy-on-write refresh: `corpus` must extend the base snapshot's
   /// corpus (same observations in [0, base.num_observations()), verified by
-  /// prefix fingerprint — FailedPrecondition otherwise). The base rows are
-  /// copied and only the pairs involving an appended observation are
-  /// evaluated (with cubeMasking's pair kernel) and appended, so refresh
-  /// cost is O(delta × n) plus a copy, not O(n²). The base snapshot is not
-  /// modified. The selector is inherited from `base`; `options.selector` is
-  /// ignored.
+  /// prefix fingerprint — FailedPrecondition otherwise; InvalidArgument on
+  /// an empty corpus handle). Only the pairs involving an appended
+  /// observation are evaluated, with the pair kernel's row forms over the
+  /// corpus's labels packed once. Each row set is then written in one pass:
+  /// every row is its base row followed by its new partners in evaluation
+  /// order, which is already ascending. Refresh cost is O(delta × n) plus
+  /// one copy of the base rows, not O(n²). TimedOut when the deadline
+  /// expires (checked once per appended observation), Internal when
+  /// kFaultSnapshotBuild fires. The base snapshot is not modified. The
+  /// selector is inherited from `base`; `options.selector` is ignored.
   static Result<Ptr> BuildIncremental(const RelationshipSnapshot& base,
                                       qb::Corpus corpus,
                                       const BuildOptions& options);
+
+  /// \brief The build a reload needs: BuildIncremental's refresh of `base`
+  /// when it is non-null and `corpus` extends its corpus, else Build of
+  /// `corpus` with `options.selector`. The corpus prefix is fingerprinted
+  /// once, both to choose the path and to verify the extension.
+  static Result<Ptr> BuildOrRefresh(const RelationshipSnapshot* base,
+                                    qb::Corpus corpus,
+                                    const BuildOptions& options);
 
   /// Publication version stamped at build time.
   uint64_t version() const { return version_; }
@@ -206,6 +218,10 @@ class RelationshipSnapshot {
   RelationshipSnapshot(qb::Corpus corpus, const RelationshipSelector& selector,
                        uint64_t version)
       : corpus_(std::move(corpus)), selector_(selector), version_(version) {}
+
+  // BuildIncremental once `corpus` is known to extend `base`.
+  static Result<Ptr> Refresh(const RelationshipSnapshot& base,
+                             qb::Corpus corpus, const BuildOptions& options);
 
   // The one scan walk behind ScanPage and ScanAll.
   template <typename Emit>

@@ -6,6 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "base/untrusted.h"
 #include "util/safe_math.h"
@@ -21,9 +24,10 @@ namespace {
 // present so a forged count cannot drive a huge loop over a tiny payload.
 constexpr uint32_t kMaxDimensions = 64;
 constexpr uint32_t kMaxMeasures = 64;
-// Smallest possible encodings: dataset = empty iri (4) + two masks (16);
-// observation = empty iri (4) + dataset id (4) + dim count (4) + value
-// count (4).
+// Smallest possible encodings: code = empty name (4) + parent (4); dataset =
+// empty iri (4) + two masks (16); observation = empty iri (4) + dataset id
+// (4) + dim count (4) + value count (4).
+constexpr uint64_t kMinCodeRecordBytes = 8;
 constexpr uint64_t kMinDatasetRecordBytes = 20;
 constexpr uint64_t kMinObservationRecordBytes = 16;
 
@@ -88,6 +92,16 @@ class Reader {
     if (!GetU32(&len)) return false;
     if (pos_ + len > bytes_.size()) return false;
     s->assign(bytes_, pos_, len);
+    pos_ += len;
+    return true;
+  }
+
+  // GetString without the copy: a view into the bytes being read.
+  bool GetStringView(std::string_view* s) {
+    uint32_t len;
+    if (!GetU32(&len)) return false;
+    if (len > Remaining()) return false;
+    *s = std::string_view(bytes_).substr(pos_, len);
     pos_ += len;
     return true;
   }
@@ -201,16 +215,22 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
     uint32_t num_codes;
     if (!r.GetU32(&num_codes)) return Corrupt("code count");
     if (num_codes == 0) return Corrupt("empty code list");
+    const auto code_bytes =
+        util::CheckedMul<uint64_t>(num_codes, kMinCodeRecordBytes);
+    if (!code_bytes.ok() || *code_bytes > r.Remaining()) {
+      return Corrupt("code count out of range");
+    }
     std::string root_name;
     if (!r.GetString(&root_name)) return Corrupt("root name");
     uint32_t root_parent;
     if (!r.GetU32(&root_parent)) return Corrupt("root parent");
     if (root_parent != 0xffffffffu) return Corrupt("first code must be root");
-    hierarchy::CodeList list(root_name);
+    hierarchy::CodeList list(std::move(root_name));
+    list.Reserve(num_codes, r.Remaining() / kMinCodeRecordBytes + 1);
     for (uint32_t c = 1; c < num_codes; ++c) {
-      std::string name;
+      std::string_view name;
       uint32_t parent;
-      if (!r.GetString(&name) || !r.GetU32(&parent)) return Corrupt("code");
+      if (!r.GetStringView(&name) || !r.GetU32(&parent)) return Corrupt("code");
       if (parent >= c) return Corrupt("code parent out of range");
       auto added = list.Add(name, parent);
       if (!added.ok() || *added != c) return Corrupt("duplicate code name");
@@ -240,6 +260,12 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
   if (!dataset_bytes.ok() || *dataset_bytes > r.Remaining()) {
     return Corrupt("dataset count out of range");
   }
+  // Per-record scratch, reused across records; at most kMaxDimensions and
+  // kMaxMeasures entries each.
+  std::vector<DimId> dims;
+  std::vector<MeasureId> measures;
+  dims.reserve(num_dims);
+  measures.reserve(num_measures);
   for (uint32_t ds = 0; ds < num_datasets; ++ds) {
     std::string iri;
     uint64_t dim_mask, measure_mask;
@@ -247,12 +273,14 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
         !r.GetU64(&measure_mask)) {
       return Corrupt("dataset");
     }
-    std::vector<DimId> dims;
+    dims.clear();
     for (DimId d = 0; d < num_dims; ++d) {
       if (dim_mask & (uint64_t{1} << d)) dims.push_back(d);
     }
-    if (dim_mask >> num_dims) return Corrupt("dataset dim mask");
-    std::vector<MeasureId> measures;
+    if (num_dims < 64 && (dim_mask >> num_dims)) {
+      return Corrupt("dataset dim mask");
+    }
+    measures.clear();
     for (MeasureId m = 0; m < num_measures; ++m) {
       if (measure_mask & (uint64_t{1} << m)) measures.push_back(m);
     }
@@ -270,6 +298,12 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
   if (!obs_bytes.ok() || *obs_bytes > r.Remaining()) {
     return Corrupt("observation count out of range");
   }
+  corpus.observations->Reserve(num_obs,
+                               r.Remaining() / kMinObservationRecordBytes);
+  std::vector<std::pair<DimId, hierarchy::CodeId>> coords;
+  std::vector<std::pair<MeasureId, double>> values;
+  coords.reserve(num_dims);
+  values.reserve(num_measures);
   for (uint32_t i = 0; i < num_obs; ++i) {
     std::string iri;
     uint32_t dataset, present;
@@ -278,7 +312,7 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
     }
     if (dataset >= num_datasets) return Corrupt("observation dataset id");
     if (present > num_dims) return Corrupt("observation dim count");
-    std::vector<std::pair<DimId, hierarchy::CodeId>> dims;
+    coords.clear();
     for (uint32_t p = 0; p < present; ++p) {
       uint32_t d, code;
       if (!r.GetU32(&d) || !r.GetU32(&code)) return Corrupt("dim value");
@@ -286,12 +320,12 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
       if (code >= corpus.space->code_list(d).size()) {
         return Corrupt("code id");
       }
-      dims.emplace_back(d, code);
+      coords.emplace_back(d, code);
     }
     uint32_t num_values;
     if (!r.GetU32(&num_values)) return Corrupt("value count");
     if (num_values > num_measures) return Corrupt("value count range");
-    std::vector<std::pair<MeasureId, double>> values;
+    values.clear();
     for (uint32_t v = 0; v < num_values; ++v) {
       uint32_t m;
       double value;
@@ -299,9 +333,10 @@ RDFCUBE_TAINT_SOURCE Result<Corpus> DeserializeCorpus(
       if (m >= num_measures) return Corrupt("measure id");
       values.emplace_back(m, value);
     }
-    RDFCUBE_RETURN_IF_ERROR(
-        AsParseError(corpus.observations->AddObservation(dataset, iri, dims, values)
-                         .status()));
+    RDFCUBE_RETURN_IF_ERROR(AsParseError(
+        corpus.observations
+            ->AddObservation(dataset, std::move(iri), coords, values)
+            .status()));
   }
   if (!r.AtEnd()) return Corrupt("trailing bytes");
   return corpus;

@@ -32,8 +32,12 @@ Result<DatasetId> ObservationSet::AddDataset(
   return id;
 }
 
+void ObservationSet::Reserve(std::size_t n, std::size_t limit) {
+  observations_.reserve(n < limit ? n : limit);
+}
+
 Result<ObsId> ObservationSet::AddObservation(
-    DatasetId dataset, const std::string& iri,
+    DatasetId dataset, std::string iri,
     const std::vector<std::pair<DimId, hierarchy::CodeId>>& dims,
     const std::vector<std::pair<MeasureId, double>>& measures) {
   if (dataset >= datasets_.size()) {
@@ -41,7 +45,6 @@ Result<ObsId> ObservationSet::AddObservation(
   }
   DatasetMeta& meta = datasets_[dataset];
   Observation o;
-  o.iri = iri;
   o.dataset = dataset;
   o.dims.assign(space_->num_dimensions(), hierarchy::kNoCode);
   for (const auto& [d, code] : dims) {
@@ -59,7 +62,8 @@ Result<ObsId> ObservationSet::AddObservation(
     }
     o.dims[d] = code;
   }
-  for (const auto& [m, value] : measures) {
+  for (const auto& measure : measures) {
+    const MeasureId m = measure.first;
     if (m >= space_->num_measures()) {
       return Status::InvalidArgument("unknown measure id on observation " + iri);
     }
@@ -71,9 +75,10 @@ Result<ObsId> ObservationSet::AddObservation(
       return Status::InvalidArgument("duplicate measure on observation " + iri);
     }
     o.measure_mask |= (uint64_t{1} << m);
-    o.values.emplace_back(m, value);
   }
+  o.values = measures;
   std::sort(o.values.begin(), o.values.end());
+  o.iri = std::move(iri);
   const ObsId id = static_cast<ObsId>(observations_.size());
   observations_.push_back(std::move(o));
   meta.observations.push_back(id);

@@ -65,13 +65,20 @@ class ObservationSet {
                                const std::vector<DimId>& dims,
                                const std::vector<MeasureId>& measures);
 
-  /// Adds an observation to `dataset`. Every dimension key must belong to
-  /// the dataset schema; schema dimensions absent from `dims` are encoded as
-  /// the code-list root. Measures must belong to the dataset schema.
+  /// Adds an observation to `dataset`, taking over `iri`. Every dimension
+  /// key must belong to the dataset schema; schema dimensions absent from
+  /// `dims` are encoded as the code-list root. Measures must belong to the
+  /// dataset schema.
   [[nodiscard]] Result<ObsId> AddObservation(
-      DatasetId dataset, const std::string& iri,
+      DatasetId dataset, std::string iri,
       const std::vector<std::pair<DimId, hierarchy::CodeId>>& dims,
       const std::vector<std::pair<MeasureId, double>>& measures);
+
+  /// Makes room for `n` observations in all, so that adding that many grows
+  /// no array. The reservation is clamped to `limit`, the most observations
+  /// the caller can still supply: a decoder passes what its remaining bytes
+  /// can encode, so a forged count cannot size the set.
+  void Reserve(std::size_t n, std::size_t limit);
 
   std::size_t size() const { return observations_.size(); }
   std::size_t num_datasets() const { return datasets_.size(); }

@@ -90,12 +90,8 @@
 #include "util/csv.h"                      // IWYU pragma: export
 #include "util/fault.h"                    // IWYU pragma: export
 #include "util/random.h"                   // IWYU pragma: export
-#include "util/result.h"                   // IWYU pragma: export
 #include "util/safe_math.h"                // IWYU pragma: export
-#include "util/status.h"                   // IWYU pragma: export
-#include "util/stopwatch.h"                // IWYU pragma: export
 #include "util/string_util.h"              // IWYU pragma: export
-#include "util/thread_annotations.h"       // IWYU pragma: export
 #include "util/thread_pool.h"              // IWYU pragma: export
 
 #endif  // RDFCUBE_RDFCUBE_H_

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/checkpoint.h"
+#include "core/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/corpus.h"
@@ -35,20 +35,8 @@ Status SnapshotStore::Reload(qb::Corpus corpus, const Deadline& deadline) {
   options.version = (base != nullptr ? base->version() + 1 : 1);
   if (base != nullptr) options.selector = base->selector();
 
-  // Choose the refresh path up front (BuildIncremental consumes the corpus,
-  // so probing it and falling back on failure is not an option).
-  const bool extends =
-      base != nullptr && corpus.observations != nullptr &&
-      corpus.observations->size() >= base->num_observations() &&
-      core::FingerprintObservationsPrefix(
-          *corpus.observations,
-          static_cast<qb::ObsId>(base->num_observations())) ==
-          base->fingerprint();
-
-  Result<SnapshotPtr> built =
-      extends ? core::RelationshipSnapshot::BuildIncremental(
-                    *base, std::move(corpus), options)
-              : core::RelationshipSnapshot::Build(std::move(corpus), options);
+  Result<SnapshotPtr> built = core::RelationshipSnapshot::BuildOrRefresh(
+      base.get(), std::move(corpus), options);
   if (!built.ok()) {
     MutexLock lock(&mu_);
     ++reload_failures_;

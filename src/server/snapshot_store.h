@@ -45,7 +45,8 @@ class SnapshotStore {
 
   /// Rebuilds from `corpus` and publishes on success. Refreshes
   /// copy-on-write (BuildIncremental) when `corpus` extends the current
-  /// snapshot's corpus, falls back to a full build otherwise. On ANY
+  /// snapshot's corpus, falls back to a full build otherwise; the choice is
+  /// RelationshipSnapshot::BuildOrRefresh's, one prefix fingerprint. On ANY
   /// failure — build error, deadline expiry, injected crash, swap fault —
   /// the previously published snapshot stays current and the error is
   /// returned. The new snapshot's version is the old version + 1.

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "core/baseline.h"
 #include "core/occurrence_matrix.h"
@@ -161,6 +165,117 @@ TEST(BinaryIoTest, GeneratedCorpusRoundTrip) {
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(CountsOf(*reloaded->observations),
             CountsOf(*corpus->observations));
+}
+
+TEST(BinaryIoTest, ReserializingADecodedCorpusIsByteIdentical) {
+  auto corpus = datagen::GenerateRealWorldPrefix(1000, 9);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  auto bytes = SerializeCorpus(*corpus);
+  ASSERT_TRUE(bytes.ok());
+  auto decoded = DeserializeCorpus(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto again = SerializeCorpus(*decoded);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(*again == *bytes);
+}
+
+TEST(BinaryIoTest, SixtyFourDimensionCorpusRoundTrips) {
+  // Dataset 0 declares all 64 dimensions: its mask has no bit to spare, so
+  // the unused-bits check must not shift by the full width.
+  Corpus wide = testutil::MakeWideCorpus(3);
+  ASSERT_EQ(wide.space->num_dimensions(), 64u);
+  auto bytes = SerializeCorpus(wide);
+  ASSERT_TRUE(bytes.ok());
+  auto decoded = DeserializeCorpus(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->observations->dataset(0).dim_mask, ~uint64_t{0});
+  auto again = SerializeCorpus(*decoded);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(*again == *bytes);
+}
+
+TEST(BinaryIoTest, DecodedCodeListsEqualTheOnesBuiltByAdd) {
+  // The generator builds its code lists code by code through Add; the
+  // decoder's bulk path must rebuild every one of them exactly.
+  auto corpus = datagen::GenerateRealWorldPrefix(1000, 9);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  auto bytes = SerializeCorpus(*corpus);
+  ASSERT_TRUE(bytes.ok());
+  auto decoded = DeserializeCorpus(*bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  const CubeSpace& built = *corpus->space;
+  ASSERT_EQ(decoded->space->num_dimensions(), built.num_dimensions());
+  for (DimId d = 0; d < built.num_dimensions(); ++d) {
+    const hierarchy::CodeList& want = built.code_list(d);
+    const hierarchy::CodeList& got = decoded->space->code_list(d);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got.finalized());
+    EXPECT_EQ(got.max_level(), want.max_level());
+    const hierarchy::EulerLabels want_labels = want.euler_labels();
+    const hierarchy::EulerLabels got_labels = got.euler_labels();
+    for (hierarchy::CodeId c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got.name(c), want.name(c));
+      EXPECT_EQ(got.parent(c), want.parent(c));
+      EXPECT_EQ(got.level(c), want.level(c));
+      EXPECT_EQ(got_labels.pre[c], want_labels.pre[c]);
+      EXPECT_EQ(got_labels.post[c], want_labels.post[c]);
+      EXPECT_TRUE(std::ranges::equal(got.children(c), want.children(c)))
+          << "children of " << want.name(c);
+      EXPECT_EQ(got.Find(want.name(c)), std::optional<hierarchy::CodeId>(c));
+    }
+  }
+}
+
+// Offset of the only occurrence of `name` as a length-prefixed string.
+std::size_t StringAt(const std::string& bytes, const std::string& name) {
+  std::string needle(4, '\0');
+  needle[0] = static_cast<char>(name.size());
+  needle += name;
+  const std::size_t at = bytes.find(needle);
+  EXPECT_NE(at, std::string::npos) << name;
+  EXPECT_EQ(bytes.find(needle, at + 1), std::string::npos) << name;
+  return at + 4;
+}
+
+TEST(BinaryIoTest, RepeatedCodeNameIsParseError) {
+  Corpus original = MakeRunningExample();
+  auto bytes = SerializeCorpus(original);
+  ASSERT_TRUE(bytes.ok());
+  // "2011" renamed to its sibling "2001" (same parent), and "Greece" to
+  // "Europe" (its own parent): a repeat either way.
+  for (const auto& [from, to] : {std::pair<std::string, std::string>{
+                                     "2011", "2001"},
+                                 {"Greece", "Europe"}}) {
+    std::string forged = *bytes;
+    forged.replace(StringAt(forged, from), to.size(), to);
+    auto result = DeserializeCorpus(forged);
+    EXPECT_TRUE(result.status().IsParseError())
+        << from << ": " << result.status().ToString();
+  }
+}
+
+TEST(BinaryIoTest, ForgedCodeCountsAreClampedBeforeSizing) {
+  Corpus original = MakeRunningExample();
+  auto bytes = SerializeCorpus(original);
+  ASSERT_TRUE(bytes.ok());
+  // magic, dimension count, then the first dimension's iri and code count.
+  const std::size_t at = 8 + 4 + 4 + original.space->dimension_iri(0).size();
+  const std::size_t after = bytes->size() - (at + 4);
+  // One code past what the remaining bytes can encode, a count whose
+  // reservation would need gigabytes, and the largest u32.
+  for (uint32_t count : {static_cast<uint32_t>(after / 8 + 1), 1u << 28,
+                         0xffffffffu}) {
+    std::string forged = *bytes;
+    for (int i = 0; i < 4; ++i) {
+      forged[at + i] = static_cast<char>(count >> (8 * i));
+    }
+    auto result = DeserializeCorpus(forged);
+    ASSERT_TRUE(result.status().IsParseError())
+        << count << ": " << result.status().ToString();
+    // Rejected at the count, before a code is read or a list is sized.
+    EXPECT_NE(result.status().message().find("code count"), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/code_list.h"
@@ -85,6 +88,58 @@ TEST(CodeListTest, ChildrenLists) {
   EXPECT_EQ(list.children(list.root()).size(), 2u);
   EXPECT_EQ(list.children(*list.Find("Greece")).size(), 2u);
   EXPECT_TRUE(list.children(*list.Find("Athens")).empty());
+  // Insertion order, not name or id order of the parents' other children.
+  const auto names = [&list](CodeId c) {
+    std::vector<std::string> out;
+    for (CodeId child : list.children(c)) out.push_back(list.name(child));
+    return out;
+  };
+  EXPECT_EQ(names(list.root()),
+            (std::vector<std::string>{"Europe", "America"}));
+  EXPECT_EQ(names(*list.Find("Europe")),
+            (std::vector<std::string>{"Greece", "Italy"}));
+  EXPECT_EQ(names(*list.Find("Greece")),
+            (std::vector<std::string>{"Athens", "Ioannina"}));
+}
+
+TEST(CodeListTest, FindResolvesEveryNameAfterTheIndexGrows) {
+  // Thousands of codes grow the name index many times over (and a
+  // reservation far below the final size does not cap it).
+  CodeList list("root");
+  list.Reserve(10, 1u << 20);
+  std::vector<CodeId> ids = {list.root()};
+  for (uint32_t i = 1; i < 5000; ++i) {
+    auto added = list.Add("code/" + std::to_string(i * 7919u), ids[i / 3]);
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    ASSERT_EQ(*added, i);
+    ids.push_back(*added);
+  }
+  ASSERT_TRUE(list.Finalize().ok());
+  for (CodeId c = 0; c < list.size(); ++c) {
+    const std::optional<CodeId> found = list.Find(list.name(c));
+    ASSERT_TRUE(found.has_value()) << list.name(c);
+    EXPECT_EQ(*found, c);
+  }
+  EXPECT_FALSE(list.Find("code/").has_value());
+  EXPECT_FALSE(list.Find("code/7918").has_value());
+  // Re-adding any of them is a no-op that returns its id.
+  auto again = list.Add(list.name(4321), list.parent(4321));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 4321u);
+  EXPECT_EQ(list.size(), 5000u);
+}
+
+TEST(CodeListTest, ReserveIsClampedToItsLimit) {
+  // A forged count cannot size the list: the reservation stops at the
+  // limit, and the list still grows past it as codes arrive.
+  CodeList list("root");
+  list.Reserve(std::size_t{1} << 40, 4);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(list.Add("c" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(list.Finalize().ok());
+  EXPECT_EQ(list.size(), 101u);
+  EXPECT_EQ(list.Find("c99"), std::optional<CodeId>(100));
 }
 
 TEST(CodeListTest, ReAddSameParentIsNoOp) {
@@ -159,6 +214,28 @@ TEST_P(CodeListPropertyTest, IntervalAncestryMatchesChainWalk) {
   // Levels equal chain length - 1.
   for (CodeId c : all) {
     EXPECT_EQ(list.level(c), list.AncestorsOrSelf(c).size() - 1);
+  }
+  // The labels are exactly a depth-first tour's over the children in
+  // insertion order, one clock tick on entry and one on exit.
+  std::vector<uint32_t> pre(list.size()), post(list.size());
+  uint32_t clock = 0;
+  std::vector<std::pair<CodeId, std::size_t>> stack = {{list.root(), 0}};
+  pre[list.root()] = clock++;
+  while (!stack.empty()) {
+    auto& [node, next] = stack.back();
+    if (next < list.children(node).size()) {
+      const CodeId child = list.children(node)[next++];
+      pre[child] = clock++;
+      stack.emplace_back(child, 0);
+    } else {
+      post[node] = clock++;
+      stack.pop_back();
+    }
+  }
+  const EulerLabels labels = list.euler_labels();
+  for (CodeId c : all) {
+    EXPECT_EQ(labels.pre[c], pre[c]) << c;
+    EXPECT_EQ(labels.post[c], post[c]) << c;
   }
 }
 

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -34,12 +35,14 @@
 #include <vector>
 
 #include "base/stopwatch.h"
+#include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/explorer.h"
 #include "core/relationship.h"
 #include "core/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "qb/binary_io.h"
 #include "qb/corpus.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -97,6 +100,47 @@ RelSets ScanSets(const RelationshipSnapshot& snap) {
   core::CollectingSink sink;
   EXPECT_TRUE(snap.ScanAll(&sink, Deadline()).ok());
   return RelSets::From(sink);
+}
+
+// Live value of a counter in the global registry (0 when unregistered).
+uint64_t GlobalCounterValue(const std::string& name) {
+  for (const obs::CounterSample& c :
+       obs::MetricsRegistry::Global().Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+// The first `n` observations of `corpus`, over a copy of its space: a base
+// that `corpus` extends.
+qb::Corpus PrefixOf(const qb::Corpus& corpus, std::size_t n) {
+  Result<std::string> bytes = qb::SerializeCorpus(corpus);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  Result<qb::Corpus> copy = qb::DeserializeCorpus(bytes.value());
+  EXPECT_TRUE(copy.ok()) << copy.status().ToString();
+  qb::Corpus out = std::move(copy).value();
+  const qb::ObservationSet& from = *out.observations;
+  auto to = std::make_unique<qb::ObservationSet>(out.space.get());
+  for (qb::DatasetId d = 0; d < from.num_datasets(); ++d) {
+    const qb::DatasetMeta& meta = from.dataset(d);
+    std::vector<qb::DimId> dims;
+    std::vector<qb::MeasureId> measures;
+    for (uint32_t bit = 0; bit < 64; ++bit) {
+      if (meta.dim_mask >> bit & 1) dims.push_back(bit);
+      if (meta.measure_mask >> bit & 1) measures.push_back(bit);
+    }
+    EXPECT_TRUE(to->AddDataset(meta.iri, dims, measures).ok());
+  }
+  for (qb::ObsId i = 0; i < n; ++i) {
+    const qb::Observation& o = from.obs(i);
+    std::vector<std::pair<qb::DimId, hierarchy::CodeId>> coords;
+    for (qb::DimId d = 0; d < o.dims.size(); ++d) {
+      if (o.dims[d] != hierarchy::kNoCode) coords.emplace_back(d, o.dims[d]);
+    }
+    EXPECT_TRUE(to->AddObservation(o.dataset, o.iri, coords, o.values).ok());
+  }
+  out.observations = std::move(to);
+  return out;
 }
 
 // --- Protocol: round trips ---------------------------------------------------
@@ -910,6 +954,59 @@ TEST(SnapshotTest, BuildRejectsEmptyCorpusHandle) {
 
 // --- RelationshipSnapshot: incremental refresh -------------------------------
 
+// Refreshing prefixes of `make()`'s corpus to the whole corpus gives Build's
+// rows row for row, under every single-type selector and all of them: from
+// bases at splits 0 (empty), 1 (one observation), n/2, n - 1 and n, and
+// through a chain of three refreshes (each refreshing the last). Rows are
+// compared whole, so a delta scattered out of order fails here even where
+// the relationship sets agree.
+void ExpectRefreshEqualsBuild(const std::function<qb::Corpus()>& make,
+                              const std::string& label) {
+  const core::RelationshipSelector selectors[] = {
+      core::RelationshipSelector::All(),
+      core::RelationshipSelector::FullOnly(),
+      core::RelationshipSelector::PartialOnly(),
+      core::RelationshipSelector::ComplOnly()};
+  const qb::Corpus whole = make();
+  const std::size_t n = whole.observations->size();
+  ASSERT_GE(n, 4u) << label;
+  for (const core::RelationshipSelector& sel : selectors) {
+    const std::string what =
+        label + " selector " + std::to_string(core::SelectorBits(sel));
+    RelationshipSnapshot::BuildOptions options;
+    options.selector = sel;
+    auto build = [&](std::size_t size) {
+      auto snap = RelationshipSnapshot::Build(PrefixOf(whole, size), options);
+      EXPECT_TRUE(snap.ok()) << what << ": " << snap.status().ToString();
+      return snap.value();
+    };
+    const RelationshipSnapshot::Ptr full = build(n);
+    for (std::size_t split :
+         {std::size_t{0}, std::size_t{1}, n / 2, n - 1, n}) {
+      auto refreshed =
+          RelationshipSnapshot::BuildIncremental(*build(split), make(), {});
+      ASSERT_TRUE(refreshed.ok()) << what << " split " << split << ": "
+                                  << refreshed.status().ToString();
+      EXPECT_TRUE((*refreshed)->SameRelationships(*full))
+          << what << " split " << split;
+      EXPECT_EQ((*refreshed)->fingerprint(), full->fingerprint());
+      // The base's selector carries through the refresh.
+      EXPECT_EQ(core::SelectorBits((*refreshed)->selector()),
+                core::SelectorBits(sel));
+    }
+    RelationshipSnapshot::Ptr chained = build(n / 4);
+    for (std::size_t size : {n / 2, 3 * n / 4, n}) {
+      auto next = RelationshipSnapshot::BuildIncremental(
+          *chained, PrefixOf(whole, size), {});
+      ASSERT_TRUE(next.ok()) << what << " chain to " << size << ": "
+                             << next.status().ToString();
+      chained = next.value();
+      EXPECT_TRUE(chained->SameRelationships(*build(size)))
+          << what << " chain to " << size;
+    }
+  }
+}
+
 TEST(SnapshotTest, IncrementalRefreshEqualsFullRebuild) {
   // MakeRandomCorpus(seed, n) and (seed, n + k) share the first n
   // observations: the smaller corpus is a prefix of the larger.
@@ -931,29 +1028,50 @@ TEST(SnapshotTest, IncrementalRefreshEqualsFullRebuild) {
   EXPECT_EQ((*refreshed)->num_complementary(), full->num_complementary());
   EXPECT_TRUE(ScanSets(**refreshed) == ScanSets(*full));
   EXPECT_EQ((*refreshed)->fingerprint(), full->fingerprint());
-
-  // Row for row, at every kind of split point.
-  for (std::size_t split : {0, 1, 30, 59, 60}) {
-    auto split_base = MustBuild(MakeRandomCorpus(7, split), 1);
-    auto split_refresh = RelationshipSnapshot::BuildIncremental(
-        *split_base, MakeRandomCorpus(7, 60), {});
-    ASSERT_TRUE(split_refresh.ok()) << split_refresh.status().ToString();
-    EXPECT_TRUE((*split_refresh)->SameRelationships(*full)) << split;
-  }
-  // The base's selector carries through the refresh.
+  EXPECT_TRUE((*refreshed)->SameRelationships(*full));
+  // A single-type selector materializes only its type.
   RelationshipSnapshot::BuildOptions compl_only;
   compl_only.selector = core::RelationshipSelector::ComplOnly();
-  auto compl_base =
-      RelationshipSnapshot::Build(MakeRandomCorpus(7, 30), compl_only);
   auto compl_full =
       RelationshipSnapshot::Build(MakeRandomCorpus(7, 60), compl_only);
-  ASSERT_TRUE(compl_base.ok() && compl_full.ok());
+  ASSERT_TRUE(compl_full.ok());
   EXPECT_EQ((*compl_full)->num_complementary(), full->num_complementary());
   EXPECT_EQ((*compl_full)->num_full() + (*compl_full)->num_partial(), 0u);
-  auto compl_refresh = RelationshipSnapshot::BuildIncremental(
-      **compl_base, MakeRandomCorpus(7, 60), {});
-  ASSERT_TRUE(compl_refresh.ok());
-  EXPECT_TRUE((*compl_refresh)->SameRelationships(**compl_full));
+
+  // Row for row, at every kind of split point, on every adversarial shape.
+  ExpectRefreshEqualsBuild([] { return MakeRandomCorpus(7, 60); }, "random");
+  ExpectRefreshEqualsBuild(testutil::MakeDeepChainCorpus, "deep chain");
+  ExpectRefreshEqualsBuild([] { return testutil::MakeWideCorpus(3); },
+                           "wide");
+  ExpectRefreshEqualsBuild([] { return testutil::MakeAllRootCorpus(30); },
+                           "all root");
+  ExpectRefreshEqualsBuild(
+      [] { return testutil::MakeDuplicateCoordinateCorpus(5); },
+      "duplicate coordinates");
+}
+
+TEST(SnapshotTest, BuildOrRefreshRefreshesExactlyTheExtensions) {
+  const uint64_t builds =
+      GlobalCounterValue("rdfcube_core_snapshot_builds_total");
+  const uint64_t refreshes =
+      GlobalCounterValue("rdfcube_core_snapshot_refreshes_total");
+  auto built = RelationshipSnapshot::BuildOrRefresh(
+      nullptr, MakeRandomCorpus(7, 40), {});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto extended = RelationshipSnapshot::BuildOrRefresh(
+      built->get(), MakeRandomCorpus(7, 60), {});
+  ASSERT_TRUE(extended.ok()) << extended.status().ToString();
+  auto unrelated = RelationshipSnapshot::BuildOrRefresh(
+      built->get(), MakeRandomCorpus(8, 60), {});
+  ASSERT_TRUE(unrelated.ok()) << unrelated.status().ToString();
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_builds_total"),
+            builds + 2);
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_refreshes_total"),
+            refreshes + 1);
+  EXPECT_TRUE(
+      (*extended)->SameRelationships(*MustBuild(MakeRandomCorpus(7, 60))));
+  EXPECT_TRUE(
+      (*unrelated)->SameRelationships(*MustBuild(MakeRandomCorpus(8, 60))));
 }
 
 TEST(SnapshotTest, IncrementalRefreshRejectsNonExtension) {
@@ -1465,15 +1583,6 @@ uint64_t ScrapedValue(const std::string& text, const std::string& name) {
     ++at;
   }
   return std::numeric_limits<uint64_t>::max();
-}
-
-// Live value of a counter in the global registry (0 when unregistered).
-uint64_t GlobalCounterValue(const std::string& name) {
-  for (const obs::CounterSample& c :
-       obs::MetricsRegistry::Global().Snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
 }
 
 TEST_F(ServerClientTest, MetricsScrapeCountsRequestsExactly) {
