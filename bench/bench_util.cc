@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
+#include <utility>
 
 #include "datagen/realworld.h"
 #include "datagen/synthetic.h"
@@ -48,10 +50,55 @@ double ComparisonTimeoutSeconds() {
   return LargeMode() ? 300.0 : 20.0;
 }
 
+namespace {
+
+// The display reporter, wrapped so that every google-benchmark run it
+// prints also lands in the report's stats: `bm.<run name>.real_ms` (real
+// time per iteration) and `bm.<run name>.<counter>` for each user counter.
+// Failed runs and complexity fits carry no timing and are left out.
+class RecordingReporter : public benchmark::BenchmarkReporter {
+ public:
+  RecordingReporter()
+      : display_(benchmark::CreateDefaultDisplayReporter()) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    display_->ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.error_occurred || run.report_big_o || run.report_rms) continue;
+      const std::string key = "bm." + run.benchmark_name();
+      if (run.aggregate_unit == benchmark::kTime) {
+        stats_.emplace_back(key + ".real_ms",
+                            run.GetAdjustedRealTime() * 1e3 /
+                                benchmark::GetTimeUnitMultiplier(run.time_unit));
+      }
+      for (const auto& [counter, value] : run.counters) {
+        stats_.emplace_back(key + "." + counter, value.value);
+      }
+    }
+  }
+
+  void Finalize() override { display_->Finalize(); }
+
+  const std::vector<std::pair<std::string, double>>& stats() const {
+    return stats_;
+  }
+
+ private:
+  std::unique_ptr<benchmark::BenchmarkReporter> display_;
+  std::vector<std::pair<std::string, double>> stats_;
+};
+
+}  // namespace
+
 int RunBenchMain(const std::string& name, int argc, char** argv,
                  const std::function<void()>& epilogue,
                  const std::function<void(obs::RunReport*)>& decorate) {
   benchmark::Initialize(&argc, argv);
+  RecordingReporter reporter;
 
   // Fresh observability state per process: the report should describe this
   // run only, not whatever static initialization touched the registry.
@@ -61,7 +108,7 @@ int RunBenchMain(const std::string& name, int argc, char** argv,
   {
     obs::TraceSpan root("bench/" + name);
     root_id = root.id();
-    benchmark::RunSpecifiedBenchmarks();
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     if (epilogue) epilogue();
   }
   obs::TraceCollector::Global().Disable();
@@ -71,6 +118,7 @@ int RunBenchMain(const std::string& name, int argc, char** argv,
   report.AddMeta("smoke_mode", SmokeMode() ? "1" : "0");
   report.CaptureMetrics();
   report.CapturePhases(root_id);
+  for (const auto& [key, value] : reporter.stats()) report.AddStat(key, value);
   if (decorate) decorate(&report);
 
   const char* out_dir = std::getenv("RDFCUBE_BENCH_OUT_DIR");

@@ -1,8 +1,8 @@
 #include "core/cube_masking.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/hot.h"
@@ -21,6 +21,8 @@ namespace obx = ::rdfcube::obs;
 
 namespace {
 
+// The deadline cadence in covered pairs, and the most rows one kernel call
+// evaluates.
 constexpr std::size_t kDeadlineStride = 4096;
 
 // Adds the difference between `after` and `before` to the global
@@ -56,14 +58,18 @@ void FlushMaskingCounters(const CubeMaskingStats& before,
                     before.relationships_emitted);
 }
 
-// Shared state of one run. Every pass reads the members through `table`:
-// for each comparable cube pair it sorts the dimensions once (PlanDims),
-// skips member-group pairs without a shared measure, and tests only the
-// dimensions the level signatures leave open.
+// Shared state of one run. Every pass walks outer cubes. For outer cube j
+// it marks the inner cubes comparable to j (the §3.3 lattice pruning,
+// counted in the funnel), then, for each mask run that shares a measure
+// with one of j's groups (Def. 4 condition 3), merges the marked cubes'
+// groups of that run into maximal row ranges (segments) and evaluates each
+// of the group's outer rows against them, one chunk of at most
+// kDeadlineStride rows at a time. Every buffer is sized here, once.
 struct Run {
-  Run(const MemberTable& table_in, const Lattice& lattice_in,
-      const CubeMaskingOptions& options_in, RelationshipSink* sink_in,
-      CubeMaskingStats* stats_in, const CubeChildrenIndex* children_in)
+  RDFCUBE_COLD Run(const MemberTable& table_in, const Lattice& lattice_in,
+                   const CubeMaskingOptions& options_in,
+                   RelationshipSink* sink_in, CubeMaskingStats* stats_in,
+                   const CubeChildrenIndex* children_in)
       : table(table_in),
         lattice(lattice_in),
         options(options_in),
@@ -71,14 +77,27 @@ struct Run {
         stats(stats_in),
         children(children_in),
         kd(table_in.num_dims()),
-        want_mask(options_in.selector.partial_dimension_map) {
+        want_mask(options_in.selector.partial_dimension_map),
+        comparable(lattice_in.num_cubes(), 0),
+        segments(lattice_in.num_cubes()),
+        tested(kd),
+        columns(kd),
+        outer(kd),
+        degree(kd + 1, 0.0),
+        counts(kDeadlineStride),
+        dim_masks(want_mask ? kDeadlineStride : 0) {
     // Partial degree is count / kd, from the same expression as the
-    // baseline's, so the emitted doubles are bit-identical. (An
-    // observation-free set may have more than kMaxPlanDims dimensions.)
-    for (std::size_t count = 1; count <= kd && count <= kMaxPlanDims; ++count) {
+    // baseline's, so the emitted doubles are bit-identical.
+    for (std::size_t count = 1; count <= kd; ++count) {
       degree[count] = static_cast<double>(count) / static_cast<double>(kd);
     }
   }
+
+  // A row range [begin, end) of one mask run.
+  struct Segment {
+    uint32_t begin;
+    uint32_t end;
+  };
 
   const MemberTable& table;
   const Lattice& lattice;
@@ -88,8 +107,22 @@ struct Run {
   const CubeChildrenIndex* children;
   const std::size_t kd;
   const bool want_mask;
-  std::array<double, kMaxPlanDims + 1> degree{};
   std::size_t deadline_steps = 0;
+  std::vector<uint8_t> comparable;  // per inner cube, for the outer cube
+  std::vector<Segment> segments;    // a run holds one group per cube at most
+  // The outer cube's non-root dimensions and their pre columns (its root
+  // dimensions contain every value, so they are counted without a test).
+  std::vector<qb::DimId> tested;
+  std::vector<const uint32_t*> columns;
+  std::size_t num_tested = 0;
+  uint8_t root_count = 0;
+  uint64_t root_mask = 0;
+  std::vector<DimLabel> outer;  // the outer row's label on each tested[t]
+  std::vector<double> degree;   // by containing-dimension count
+  // Per chunk row: containing dimensions, and their bits under the
+  // dimension map.
+  std::vector<uint8_t> counts;
+  std::vector<uint64_t> dim_masks;
 
   // Counts `steps` (checked cube pairs, covered observation pairs) toward
   // the deadline cadence and says whether the deadline has passed. The
@@ -110,85 +143,138 @@ struct Run {
     return Status::TimedOut("cubeMasking exceeded its deadline");
   }
 
-  // Observation pairs a comparable cube pair covers: every ordered pair of
-  // members but the self pairs, evaluated or skipped.
-  std::size_t CoveredPairs(CubeId j, CubeId k) const {
-    const std::size_t mj = table.cube_size(j);
-    return mj * table.cube_size(k) - (j == k ? mj : 0);
-  }
-
-  // Visits every ordered cube pair (j, k) with outer cube j in
-  // [begin_cube, end_cube) where j's signature dominates k's (all dims when
-  // `all_required`, any dim otherwise). With a pre-fetched children index,
-  // iterates its lists directly instead of scanning.
-  template <typename Fn>
-  RDFCUBE_HOT Status ForComparableCubePairs(bool all_required, CubeId begin_cube,
-                                            CubeId end_cube, Fn&& fn) {
-    const std::size_t c = lattice.num_cubes();
+  // Marks the cubes comparable to outer cube j: j's signature dominates
+  // theirs on every dimension when `all_required`, on one otherwise. With a
+  // pre-fetched children index, reads its list instead of scanning the
+  // lattice. Counts the funnel: the cube pairs checked and comparable, and
+  // the observation pairs the comparable ones cover (every ordered pair of
+  // members but the self pairs, evaluated or skipped).
+  RDFCUBE_HOT Status MarkComparable(CubeId j, bool all_required) {
+    std::size_t inner_members = 0;
     if (children != nullptr) {
-      for (CubeId j = begin_cube; j < end_cube; ++j) {
-        const std::vector<CubeId>& list = all_required
-                                              ? children->all_dominated(j)
-                                              : children->any_dominated(j);
-        for (CubeId k : list) {
-          ++stats->cube_pairs_comparable;
-          if (DeadlinePassed(1)) return DeadlineExceeded();
-          RDFCUBE_RETURN_IF_ERROR(fn(j, k));
-        }
+      std::fill(comparable.begin(), comparable.end(), 0);
+      for (CubeId k : all_required ? children->all_dominated(j)
+                                   : children->any_dominated(j)) {
+        ++stats->cube_pairs_comparable;
+        if (DeadlinePassed(1)) return DeadlineExceeded();
+        comparable[k] = 1;
+        inner_members += table.cube_size(k);
       }
-      return Status::OK();
-    }
-    for (CubeId j = begin_cube; j < end_cube; ++j) {
+    } else {
       const CubeSignature& sj = lattice.signature(j);
-      for (CubeId k = 0; k < c; ++k) {
+      for (CubeId k = 0; k < lattice.num_cubes(); ++k) {
         ++stats->cube_pairs_checked;
         if (DeadlinePassed(1)) return DeadlineExceeded();
         const CubeSignature& sk = lattice.signature(k);
-        const bool comparable =
+        const bool marked =
             all_required ? sj.DominatesAll(sk) : sj.DominatesAny(sk);
-        if (!comparable) continue;
+        comparable[k] = marked ? 1 : 0;
+        if (!marked) continue;
         ++stats->cube_pairs_comparable;
-        RDFCUBE_RETURN_IF_ERROR(fn(j, k));
+        inner_members += table.cube_size(k);
       }
     }
+    const std::size_t mj = table.cube_size(j);
+    stats->observation_pairs_compared +=
+        mj * inner_members - (comparable[j] != 0 ? mj : 0);
     return Status::OK();
   }
 
-  // Containment of outer row `ra` over inner rows [lo, hi), ra excluded;
-  // returns how many relationships it emitted. kCount: count the
-  // dimensions (partial containment, plus full when `full`); otherwise only
-  // full containment is wanted and each pair stops at its first failing
-  // dimension. kMask: report partial dimension masks (computing them costs
-  // about a tenth of the loop, so runs without the map skip it). The plan
-  // and the sink are copied into locals, so the virtual sink calls do not
-  // force the loop to reload them.
-  template <bool kCount, bool kMask>
-  RDFCUBE_HOT std::size_t ContainRow(const DimPlan& plan, uint32_t ra,
-                                     uint32_t lo, uint32_t hi, bool full) {
-    const DimPlan dims = plan;
+  RDFCUBE_HOT void SetOuterCube(CubeId j) {
+    const std::vector<uint32_t>& levels = lattice.signature(j).levels;
+    num_tested = 0;
+    root_count = 0;
+    root_mask = 0;
+    for (qb::DimId d = 0; d < kd; ++d) {
+      if (levels[d] == 0) {
+        ++root_count;
+        root_mask |= uint64_t{1} << d;
+      } else {
+        tested[num_tested] = d;
+        columns[num_tested] = table.pre(d);
+        ++num_tested;
+      }
+    }
+  }
+
+  RDFCUBE_HOT void SetOuterRow(uint32_t ra) {
+    for (std::size_t t = 0; t < num_tested; ++t) {
+      outer[t] = table.label(tested[t], ra);
+    }
+  }
+
+  // Merges the marked cubes' groups of `run` into maximal row ranges: a
+  // group of an unmarked cube between two marked ones splits a range.
+  RDFCUBE_HOT std::size_t MergeComparable(const MemberTable::MaskRun& run) {
+    std::size_t n = 0;
+    for (const MemberTable::Group& g : table.run_groups(run)) {
+      if (comparable[g.cube] == 0) continue;
+      if (n > 0 && segments[n - 1].end == g.begin) {
+        segments[n - 1].end = g.end;
+      } else {
+        segments[n++] = {g.begin, g.end};
+      }
+    }
+    return n;
+  }
+
+  // Containment of outer row `ra` over rows [lo, hi), ra excluded, with
+  // every pair's containing dimensions counted first, one column pass per
+  // tested dimension, and only then emitted: partial containment, plus full
+  // when `full`. kMask: report partial dimension masks (a second pass per
+  // column, so runs without the map skip it). Returns how many
+  // relationships it emitted. The sink and the tables are copied into
+  // locals, so the virtual sink calls do not force the loop to reload them.
+  template <bool kMask>
+  RDFCUBE_HOT std::size_t CountRows(uint32_t ra, uint32_t lo, uint32_t hi,
+                                    bool full) {
+    const std::size_t len = hi - lo;
+    uint8_t* const count = counts.data();
+    uint64_t* const mask = dim_masks.data();
+    std::fill_n(count, len, root_count);
+    if constexpr (kMask) std::fill_n(mask, len, root_mask);
+    for (std::size_t t = 0; t < num_tested; ++t) {
+      CountEnclosed(outer[t], columns[t] + lo, len, count);
+      if constexpr (kMask) {
+        MarkEnclosed(outer[t], tested[t], columns[t] + lo, len, mask);
+      }
+    }
     RelationshipSink* const out = sink;
+    const double* const deg = degree.data();
     const std::size_t k = kd;
-    const DimLabel* const a = table.labels(ra);
+    const qb::ObsId id_a = table.id(ra);
+    std::size_t emitted = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+      const uint32_t rb = lo + static_cast<uint32_t>(i);
+      if (rb == ra) continue;
+      const std::size_t c = count[i];
+      if (c == k) {
+        if (full) {
+          ++emitted;
+          out->OnFullContainment(id_a, table.id(rb));
+        }
+      } else if (c > 0) {
+        ++emitted;
+        out->OnPartialContainment(id_a, table.id(rb), deg[c],
+                                  kMask ? mask[i] : 0);
+      }
+    }
+    return emitted;
+  }
+
+  // Full containment only: each pair stops at its first failing dimension.
+  RDFCUBE_HOT std::size_t FullRows(uint32_t ra, uint32_t lo, uint32_t hi) {
+    RelationshipSink* const out = sink;
+    const DimLabel* const a = outer.data();
+    const uint32_t* const* const cols = columns.data();
+    const std::size_t n = num_tested;
     const qb::ObsId id_a = table.id(ra);
     std::size_t emitted = 0;
     for (uint32_t rb = lo; rb < hi; ++rb) {
       if (rb == ra) continue;
-      const DimLabel* const b = table.labels(rb);
-      if constexpr (kCount) {
-        uint64_t mask = dims.always;
-        const std::size_t count =
-            dims.num_always + CountTestedDims(dims, a, b, &mask);
-        if (count == k) {
-          if (full) {
-            ++emitted;
-            out->OnFullContainment(id_a, table.id(rb));
-          }
-        } else if (count > 0) {
-          ++emitted;
-          out->OnPartialContainment(id_a, table.id(rb), degree[count],
-                                    kMask ? mask : 0);
-        }
-      } else if (TestedDimsContain(dims, a, b)) {
+      std::size_t t = 0;
+      while (t < n && EnclosesPre(a[t], cols[t][rb])) ++t;
+      if (t == n) {
         ++emitted;
         out->OnFullContainment(id_a, table.id(rb));
       }
@@ -196,31 +282,81 @@ struct Run {
     return emitted;
   }
 
-  // Containment of every member of outer cube j over every member of inner
-  // cube k, self pairs excluded, skipping member-group pairs that share no
-  // measure (Def. 4 condition 3).
-  template <bool kCount>
-  RDFCUBE_HOT Status ContainCubePair(CubeId j, CubeId k, bool full) {
-    const DimPlan plan = PlanDims(lattice.signature(j), lattice.signature(k));
-    if (!kCount && plan.never != 0) return Status::OK();
-    for (const MemberTable::Group& gj : table.groups(j)) {
-      for (const MemberTable::Group& gk : table.groups(k)) {
-        if ((gj.measure_mask & gk.measure_mask) == 0) {
-          if (DeadlinePassed(std::size_t{gj.end - gj.begin} *
-                             (gk.end - gk.begin))) {
-            return DeadlineExceeded();
+  // Containment of every member of outer cube j over every member of the
+  // marked cubes, self pairs excluded, skipping mask runs that share no
+  // measure with an outer group. `count`: count every pair's containing
+  // dimensions (partial containment, plus full when `full`); otherwise only
+  // full containment is wanted. Expects MarkComparable(j), SetOuterCube(j).
+  RDFCUBE_HOT Status ContainOuterCube(CubeId j, bool count, bool full) {
+    const std::span<const MemberTable::Group> outer_groups = table.groups(j);
+    uint64_t outer_measures = 0;
+    for (const MemberTable::Group& g : outer_groups) {
+      outer_measures |= g.measure_mask;
+    }
+    for (const MemberTable::MaskRun& run : table.runs()) {
+      if ((run.measure_mask & outer_measures) == 0) continue;
+      const std::size_t num_segments = MergeComparable(run);
+      for (const MemberTable::Group& g : outer_groups) {
+        if ((g.measure_mask & run.measure_mask) == 0) continue;
+        for (uint32_t ra = g.begin; ra < g.end; ++ra) {
+          SetOuterRow(ra);
+          for (std::size_t s = 0; s < num_segments; ++s) {
+            const uint32_t end = segments[s].end;
+            for (uint32_t lo = segments[s].begin; lo < end;) {
+              const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
+                  end, std::size_t{lo} + kDeadlineStride));
+              if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
+              stats->relationships_emitted +=
+                  !count      ? FullRows(ra, lo, hi)
+                  : want_mask ? CountRows<true>(ra, lo, hi, full)
+                              : CountRows<false>(ra, lo, hi, full);
+              lo = hi;
+            }
           }
-          continue;
         }
-        for (uint32_t ra = gj.begin; ra < gj.end; ++ra) {
-          for (uint32_t lo = gk.begin; lo < gk.end;) {
-            const uint32_t hi = static_cast<uint32_t>(
-                std::min<std::size_t>(gk.end, std::size_t{lo} + kDeadlineStride));
+      }
+    }
+    return Status::OK();
+  }
+
+  // Complementarity of row x over rows [lo, hi): equal pre labels on the
+  // cube's non-root dimensions (its members agree on the root ones, and a
+  // label's pre names its code).
+  RDFCUBE_HOT std::size_t EqualRows(uint32_t x, uint32_t lo, uint32_t hi) {
+    RelationshipSink* const out = sink;
+    const DimLabel* const a = outer.data();
+    const uint32_t* const* const cols = columns.data();
+    const std::size_t n = num_tested;
+    const qb::ObsId id_x = table.id(x);
+    std::size_t emitted = 0;
+    for (uint32_t y = lo; y < hi; ++y) {
+      std::size_t t = 0;
+      while (t < n && cols[t][y] == a[t].pre) ++t;
+      if (t == n) {
+        ++emitted;
+        const qb::ObsId id_y = table.id(y);
+        out->OnComplementarity(std::min(id_x, id_y), std::max(id_x, id_y));
+      }
+    }
+    return emitted;
+  }
+
+  // Complementarity requires mutual full dimensional containment, which
+  // forces identical level signatures, so only pairs inside one cube
+  // qualify. It has no measure gate, so the walk takes the cube's groups
+  // pairwise. Expects SetOuterCube(c).
+  RDFCUBE_HOT Status ComplCube(CubeId c) {
+    const std::span<const MemberTable::Group> groups = table.groups(c);
+    for (std::size_t gx = 0; gx < groups.size(); ++gx) {
+      for (uint32_t x = groups[gx].begin; x < groups[gx].end; ++x) {
+        SetOuterRow(x);
+        for (std::size_t gy = gx; gy < groups.size(); ++gy) {
+          const uint32_t end = groups[gy].end;
+          for (uint32_t lo = gy == gx ? x + 1 : groups[gy].begin; lo < end;) {
+            const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
+                end, std::size_t{lo} + kDeadlineStride));
             if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
-            stats->relationships_emitted +=
-                kCount && want_mask
-                    ? ContainRow<kCount, true>(plan, ra, lo, hi, full)
-                    : ContainRow<kCount, false>(plan, ra, lo, hi, full);
+            stats->relationships_emitted += EqualRows(x, lo, hi);
             lo = hi;
           }
         }
@@ -229,115 +365,88 @@ struct Run {
     return Status::OK();
   }
 
-  // Complementarity requires mutual full dimensional containment, which
-  // forces identical level signatures, so only pairs inside one cube
-  // qualify. It has no measure gate, so the walk ignores the groups.
-  RDFCUBE_HOT Status ComplCube(CubeId c) {
-    const DimPlan plan = PlanDims(lattice.signature(c), lattice.signature(c));
-    const uint32_t end = table.cube_end(c);
-    for (uint32_t x = table.cube_begin(c); x < end; ++x) {
-      const DimLabel* a = table.labels(x);
-      for (uint32_t lo = x + 1; lo < end;) {
-        const uint32_t hi = static_cast<uint32_t>(
-            std::min<std::size_t>(end, std::size_t{lo} + kDeadlineStride));
-        if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
-        for (uint32_t y = lo; y < hi; ++y) {
-          if (TestedValuesEqual(plan, a, table.labels(y))) {
-            ++stats->relationships_emitted;
-            sink->OnComplementarity(std::min(table.id(x), table.id(y)),
-                                    std::max(table.id(x), table.id(y)));
-          }
-        }
-        lo = hi;
+  // One lattice iteration over outer cubes [begin_cube, end_cube) for the
+  // selected types: containment over the cubes comparable to each (on any
+  // dimension when partial containment is selected, on every one
+  // otherwise), then complementarity inside it. The fused pass of the
+  // Fig. 5(g) optimization selects several types at once: one lattice
+  // iteration is unavoidable for one of them, and with the per-cube
+  // comparable lists held in memory it serves the others as well. The
+  // per-type passes (prefetch_children == false) call it once per
+  // containment type, as in a literal reading of Algorithm 4 run per type.
+  RDFCUBE_HOT Status Pass(CubeId begin_cube, CubeId end_cube, bool partial,
+                          bool full, bool compl_pairs) {
+    for (CubeId j = begin_cube; j < end_cube; ++j) {
+      RDFCUBE_RETURN_IF_ERROR(MarkComparable(j, /*all_required=*/!partial));
+      SetOuterCube(j);
+      if (partial || full) {
+        RDFCUBE_RETURN_IF_ERROR(ContainOuterCube(j, partial, full));
+      }
+      if (compl_pairs && comparable[j] != 0) {
+        RDFCUBE_RETURN_IF_ERROR(ComplCube(j));
       }
     }
     return Status::OK();
   }
 
-  // --- Per-type passes (prefetch_children == false) --------------------------
-  // Each relationship type re-iterates the lattice and the observation pairs
-  // independently, as in a literal reading of Algorithm 4 run once per type.
-
-  RDFCUBE_HOT Status FullPass() {
-    return ForComparableCubePairs(
-        /*all_required=*/true, 0, static_cast<CubeId>(lattice.num_cubes()),
-        [&](CubeId j, CubeId k) {
-          stats->observation_pairs_compared += CoveredPairs(j, k);
-          return ContainCubePair<false>(j, k, /*full=*/true);
-        });
-  }
-
-  RDFCUBE_HOT Status PartialPass() {
-    return ForComparableCubePairs(
-        /*all_required=*/false, 0, static_cast<CubeId>(lattice.num_cubes()),
-        [&](CubeId j, CubeId k) {
-          stats->observation_pairs_compared += CoveredPairs(j, k);
-          return ContainCubePair<true>(j, k, /*full=*/false);
-        });
-  }
-
+  // The per-type complementarity pass needs no cube pairs: it covers each
+  // cube's unordered member pairs once.
   RDFCUBE_HOT Status ComplPass() {
     for (CubeId c = 0; c < lattice.num_cubes(); ++c) {
       const std::size_t m = table.cube_size(c);
       stats->observation_pairs_compared += m < 2 ? 0 : m * (m - 1) / 2;
+      SetOuterCube(c);
       RDFCUBE_RETURN_IF_ERROR(ComplCube(c));
     }
     return Status::OK();
-  }
-
-  // --- Fused pass (prefetch_children == true) ---------------------------------
-  // The Fig. 5(g) optimization: one lattice iteration is unavoidable for one
-  // of the relationship types; with the per-cube comparable lists (children)
-  // held in memory, that same iteration serves the other two types as well,
-  // so every comparable cube pair is visited once for all selected
-  // relationship types.
-  RDFCUBE_HOT Status FusedPass(CubeId begin_cube, CubeId end_cube) {
-    const RelationshipSelector& sel = options.selector;
-    return ForComparableCubePairs(
-        /*all_required=*/!sel.partial_containment, begin_cube, end_cube,
-        [&](CubeId j, CubeId k) {
-          stats->observation_pairs_compared += CoveredPairs(j, k);
-          if (sel.partial_containment) {
-            RDFCUBE_RETURN_IF_ERROR(
-                ContainCubePair<true>(j, k, sel.full_containment));
-          } else if (sel.full_containment) {
-            RDFCUBE_RETURN_IF_ERROR(ContainCubePair<false>(j, k, true));
-          }
-          if (sel.complementarity && j == k) return ComplCube(j);
-          return Status::OK();
-        });
   }
 };
 
 }  // namespace
 
+namespace {
+
+Status CheckTable(const qb::ObservationSet& obs, const Lattice& lattice,
+                  const MemberTable& table) {
+  if (table.num_cubes() != lattice.num_cubes() ||
+      table.num_dims() != obs.space().num_dimensions()) {
+    return Status::InvalidArgument(
+        "member table was packed from another lattice");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status RunCubeMasking(const qb::ObservationSet& obs, const Lattice& lattice,
+                      const MemberTable& table,
                       const CubeMaskingOptions& options, RelationshipSink* sink,
-                      CubeMaskingStats* stats, const CubeChildrenIndex* children) {
+                      CubeMaskingStats* stats,
+                      const CubeChildrenIndex* children) {
+  RDFCUBE_RETURN_IF_ERROR(CheckTable(obs, lattice, table));
   CubeMaskingStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const CubeMaskingStats before = *stats;
-  obx::TraceSpan pack_span("masking/pack");
-  const MemberTable table(obs, lattice);
-  pack_span.End();
   Run run(table, lattice, options, sink, stats, children);
   stats->num_cubes = lattice.num_cubes();
   const RelationshipSelector& sel = options.selector;
+  const CubeId c = static_cast<CubeId>(lattice.num_cubes());
   const int selected = (sel.full_containment ? 1 : 0) +
                        (sel.partial_containment ? 1 : 0) +
                        (sel.complementarity ? 1 : 0);
   Status status = Status::OK();
   if (options.prefetch_children && selected > 1) {
     obx::TraceSpan span("masking/fused_pass");
-    status = run.FusedPass(0, static_cast<CubeId>(lattice.num_cubes()));
+    status = run.Pass(0, c, sel.partial_containment, sel.full_containment,
+                      sel.complementarity);
   } else {
     if (status.ok() && sel.partial_containment) {
       obx::TraceSpan span("masking/partial_pass");
-      status = run.PartialPass();
+      status = run.Pass(0, c, /*partial=*/true, /*full=*/false, false);
     }
     if (status.ok() && sel.full_containment) {
       obx::TraceSpan span("masking/full_pass");
-      status = run.FullPass();
+      status = run.Pass(0, c, /*partial=*/false, /*full=*/true, false);
     }
     if (status.ok() && sel.complementarity) {
       obx::TraceSpan span("masking/compl_pass");
@@ -346,6 +455,15 @@ Status RunCubeMasking(const qb::ObservationSet& obs, const Lattice& lattice,
   }
   FlushMaskingCounters(before, *stats);  // flush even on timeout
   return status;
+}
+
+Status RunCubeMasking(const qb::ObservationSet& obs, const Lattice& lattice,
+                      const CubeMaskingOptions& options, RelationshipSink* sink,
+                      CubeMaskingStats* stats, const CubeChildrenIndex* children) {
+  obx::TraceSpan pack_span("masking/pack");
+  const MemberTable table(obs, lattice);
+  pack_span.End();
+  return RunCubeMasking(obs, lattice, table, options, sink, stats, children);
 }
 
 Status RunCubeMasking(const qb::ObservationSet& obs,
@@ -369,17 +487,17 @@ Status RunCubeMaskingOuterRange(const qb::ObservationSet& obs,
   if (end_cube > lattice.num_cubes() || begin_cube > end_cube) {
     return Status::OutOfRange("cube range outside the lattice");
   }
-  if (table.num_cubes() != lattice.num_cubes() ||
-      table.num_dims() != obs.space().num_dimensions()) {
-    return Status::InvalidArgument("member table was packed from another lattice");
-  }
+  RDFCUBE_RETURN_IF_ERROR(CheckTable(obs, lattice, table));
   CubeMaskingStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   const CubeMaskingStats before = *stats;
   Run run(table, lattice, options, sink, stats, children);
   stats->num_cubes = lattice.num_cubes();
   obx::TraceSpan span("masking/outer_range");
-  const Status status = run.FusedPass(begin_cube, end_cube);
+  const RelationshipSelector& sel = options.selector;
+  const Status status =
+      run.Pass(begin_cube, end_cube, sel.partial_containment,
+               sel.full_containment, sel.complementarity);
   FlushMaskingCounters(before, *stats);
   return status;
 }

@@ -60,6 +60,18 @@ struct CubeMaskingStats {
                       CubeMaskingStats* stats = nullptr,
                       const CubeChildrenIndex* children = nullptr);
 
+/// \brief Runs cubeMasking over a MemberTable packed from `lattice`, for
+/// callers that run more than once over one lattice (the distributed
+/// driver packs each partition's table once, outside its retries). Fails
+/// with InvalidArgument when `table` was packed from another lattice.
+[[nodiscard]] Status RunCubeMasking(const qb::ObservationSet& obs,
+                                    const Lattice& lattice,
+                                    const MemberTable& table,
+                                    const CubeMaskingOptions& options,
+                                    RelationshipSink* sink,
+                                    CubeMaskingStats* stats = nullptr,
+                                    const CubeChildrenIndex* children = nullptr);
+
 /// Convenience overload building the lattice internally (the paper's
 /// linear-time step i+ii).
 [[nodiscard]] Status RunCubeMasking(const qb::ObservationSet& obs,

@@ -234,15 +234,17 @@ Status RunDistributedMasking(const qb::ObservationSet& obs,
 
   // --- Local phase: each partition relates its own observations. ------------
   obx::TraceSpan local_span("distributed/local_phase");
+  CubeMaskingOptions masking;
+  masking.selector = sel;
+  masking.deadline = options.deadline;
   for (std::size_t p = 0; p < workers; ++p) {
+    // Packed once per partition: a retried attempt reads the same table.
+    const MemberTable table(obs, local[p]);
     CubeMaskingStats mstats;
     RDFCUBE_RETURN_IF_ERROR(recovery.Execute(
         &owner[p], sink, [&](RelationshipSink* out) {
           mstats = CubeMaskingStats();  // attempt-local; survivors commit
-          CubeMaskingOptions masking;
-          masking.selector = sel;
-          masking.deadline = options.deadline;
-          return RunCubeMasking(obs, local[p], masking, out, &mstats);
+          return RunCubeMasking(obs, local[p], table, masking, out, &mstats);
         }));
     if (stats != nullptr) stats->local_pairs += mstats.observation_pairs_compared;
   }

@@ -31,13 +31,7 @@ Status ComputeRelationships(const qb::ObservationSet& obs,
                             const EngineOptions& options,
                             RelationshipSink* sink, EngineReport* report) {
   Stopwatch watch;
-  // `deadline` wins; the deprecated timeout_seconds is honored only when no
-  // Deadline was supplied.
-  const Deadline deadline = options.deadline.HasLimit()
-                                ? options.deadline
-                                : (options.timeout_seconds > 0
-                                       ? Deadline(options.timeout_seconds)
-                                       : Deadline());
+  const Deadline& deadline = options.deadline;
   Status status;
   switch (options.method) {
     case Method::kBaseline: {

@@ -41,9 +41,6 @@ struct EngineOptions {
   /// expires. This is the single deadline type used across the codebase
   /// (benches, SPARQL/rule engines, distributed/checkpointed runs).
   Deadline deadline;
-  /// DEPRECATED: use `deadline`. Honored only when `deadline` carries no
-  /// limit; <= 0 means unlimited. Kept so existing callers keep working.
-  double timeout_seconds = -1.0;
   /// Clustering-specific knobs (ignored by other methods).
   ClusterAlgorithm cluster_algorithm = ClusterAlgorithm::kXMeans;
   double cluster_sample_fraction = 0.10;

@@ -27,25 +27,34 @@ std::string CubeSignature::ToString() const {
 
 Lattice::Lattice(const qb::ObservationSet& obs) {
   cube_of_.reserve(obs.size());
+  CubeSignature sig;
   for (qb::ObsId i = 0; i < obs.size(); ++i) {
-    AddObservation(obs, i);
+    Add(obs, i, &sig);
   }
 }
 
 CubeId Lattice::AddObservation(const qb::ObservationSet& obs, qb::ObsId i) {
-  const std::size_t k = obs.space().num_dimensions();
   CubeSignature sig;
-  sig.levels.resize(k);
+  return Add(obs, i, &sig);
+}
+
+CubeId Lattice::Add(const qb::ObservationSet& obs, qb::ObsId i,
+                    CubeSignature* sig) {
+  const std::size_t k = obs.space().num_dimensions();
+  sig->levels.resize(k);
   for (qb::DimId d = 0; d < k; ++d) {
-    sig.levels[d] = obs.LevelOf(i, d);
+    sig->levels[d] = obs.LevelOf(i, d);
   }
-  auto [it, inserted] =
-      index_.emplace(sig, static_cast<CubeId>(signatures_.size()));
-  if (inserted) {
-    signatures_.push_back(std::move(sig));
+  CubeId cube;
+  const auto it = index_.find(*sig);
+  if (it != index_.end()) {
+    cube = it->second;
+  } else {
+    cube = static_cast<CubeId>(signatures_.size());
+    index_.emplace(*sig, cube);
+    signatures_.push_back(*sig);
     members_.emplace_back();
   }
-  const CubeId cube = it->second;
   members_[cube].push_back(i);
   if (cube_of_.size() <= i) cube_of_.resize(i + 1, 0);
   cube_of_[i] = cube;
@@ -80,53 +89,107 @@ RDFCUBE_COLD MemberTable::MemberTable(const qb::ObservationSet& obs,
                                       const Lattice& lattice)
     : num_dims_(obs.space().num_dimensions()) {
   const std::size_t c = lattice.num_cubes();
+  cube_sizes_.resize(c);
   std::size_t rows = 0;
-  for (CubeId cube = 0; cube < c; ++cube) rows += lattice.members(cube).size();
-  std::vector<hierarchy::EulerLabels> dim_labels;
-  dim_labels.reserve(num_dims_);
-  for (qb::DimId d = 0; d < num_dims_; ++d) {
-    dim_labels.push_back(obs.space().code_list(d).euler_labels());
+  for (CubeId cube = 0; cube < c; ++cube) {
+    cube_sizes_[cube] = static_cast<uint32_t>(lattice.members(cube).size());
+    rows += cube_sizes_[cube];
   }
-  auto mask_of = [&obs](qb::ObsId i) { return obs.obs(i).measure_mask; };
-  // Members in cube-major order, grouped by measure mask with ObsId order
-  // within a group; counting the groups lets groups_ be sized once.
-  cube_rows_.reserve(c + 1);
-  cube_rows_.push_back(0);
-  ids_.reserve(rows);
+  // Each member's mask slot, in cube-major member order. Neighbouring
+  // members mostly share a mask, so the hash lookup runs per change only.
+  std::vector<uint64_t> masks;
+  std::unordered_map<uint64_t, uint32_t> slot_of;
+  std::vector<uint32_t> member_slot(rows);
+  std::size_t m = 0;
+  for (CubeId cube = 0; cube < c; ++cube) {
+    for (qb::ObsId id : lattice.members(cube)) {
+      const uint64_t mask = obs.obs(id).measure_mask;
+      if (m == 0 || mask != masks[member_slot[m - 1]]) {
+        const auto [it, inserted] = slot_of.try_emplace(
+            mask, static_cast<uint32_t>(masks.size()));
+        if (inserted) masks.push_back(mask);
+        member_slot[m] = it->second;
+      } else {
+        member_slot[m] = member_slot[m - 1];
+      }
+      ++m;
+    }
+  }
+  // A slot's run is its mask's rank; run r's rows start at next[r].
+  std::vector<uint32_t> by_mask(masks.size());
+  for (uint32_t s = 0; s < by_mask.size(); ++s) by_mask[s] = s;
+  std::sort(by_mask.begin(), by_mask.end(),
+            [&masks](uint32_t x, uint32_t y) { return masks[x] < masks[y]; });
+  std::vector<uint32_t> run_of(masks.size());
+  for (uint32_t r = 0; r < by_mask.size(); ++r) run_of[by_mask[r]] = r;
+  std::vector<uint32_t> next(masks.size() + 1, 0);
+  for (uint32_t slot : member_slot) ++next[run_of[slot] + 1];
+  runs_.resize(masks.size());
+  for (uint32_t r = 0; r < runs_.size(); ++r) {
+    next[r + 1] += next[r];
+    runs_[r] = {masks[by_mask[r]], next[r], next[r + 1], 0, 0};
+  }
+  // The bucket pass: cube-major members land in (mask, cube, ObsId) order.
+  ids_.resize(rows);
+  std::vector<CubeId> row_cube(rows);
+  m = 0;
+  for (CubeId cube = 0; cube < c; ++cube) {
+    for (qb::ObsId id : lattice.members(cube)) {
+      const uint32_t row = next[run_of[member_slot[m++]]]++;
+      ids_[row] = id;
+      row_cube[row] = cube;
+    }
+  }
+  // Groups in row order, then the same groups cube-major (a counting sort
+  // by cube keeps each cube's masks ascending).
+  auto starts_group = [&row_cube](const MaskRun& run, uint32_t row) {
+    return row == run.begin || row_cube[row] != row_cube[row - 1];
+  };
   std::size_t num_groups = 0;
-  for (CubeId cube = 0; cube < c; ++cube) {
-    const std::vector<qb::ObsId>& members = lattice.members(cube);
-    const auto first = ids_.insert(ids_.end(), members.begin(), members.end());
-    std::sort(first, ids_.end(), [&mask_of](qb::ObsId x, qb::ObsId y) {
-      const uint64_t mx = mask_of(x), my = mask_of(y);
-      return mx != my ? mx < my : x < y;
-    });
-    for (auto it = first; it != ids_.end(); ++it) {
-      if (it == first || mask_of(*it) != mask_of(*(it - 1))) ++num_groups;
+  for (const MaskRun& run : runs_) {
+    for (uint32_t row = run.begin; row < run.end; ++row) {
+      num_groups += starts_group(run, row) ? 1 : 0;
     }
-    cube_rows_.push_back(static_cast<uint32_t>(ids_.size()));
   }
-  // One pass over the rows: group bounds and labels.
-  groups_.reserve(num_groups);
-  cube_groups_.reserve(c + 1);
-  cube_groups_.push_back(0);
-  labels_.resize(rows * num_dims_);
-  for (CubeId cube = 0; cube < c; ++cube) {
-    for (uint32_t row = cube_rows_[cube]; row < cube_rows_[cube + 1]; ++row) {
-      const qb::ObsId id = ids_[row];
-      const uint64_t mask = mask_of(id);
-      if (groups_.size() == cube_groups_.back() ||
-          groups_.back().measure_mask != mask) {
-        groups_.push_back({row, row, mask});
+  run_groups_.reserve(num_groups);
+  cube_group_offsets_.assign(c + 1, 0);
+  for (MaskRun& run : runs_) {
+    run.first_group = static_cast<uint32_t>(run_groups_.size());
+    for (uint32_t row = run.begin; row < run.end; ++row) {
+      if (starts_group(run, row)) {
+        run_groups_.push_back({row, row, run.measure_mask, row_cube[row]});
+        ++cube_group_offsets_[row_cube[row] + 1];
       }
-      ++groups_.back().end;
-      DimLabel* out = labels_.data() + std::size_t{row} * num_dims_;
-      for (qb::DimId d = 0; d < num_dims_; ++d) {
-        const hierarchy::CodeId code = obs.ValueOrRoot(id, d);
-        out[d] = {dim_labels[d].pre[code], dim_labels[d].post[code]};
-      }
+      ++run_groups_.back().end;
     }
-    cube_groups_.push_back(static_cast<uint32_t>(groups_.size()));
+    run.end_group = static_cast<uint32_t>(run_groups_.size());
+  }
+  for (CubeId cube = 0; cube < c; ++cube) {
+    cube_group_offsets_[cube + 1] += cube_group_offsets_[cube];
+  }
+  cube_groups_.resize(run_groups_.size());
+  std::vector<uint32_t> fill(cube_group_offsets_.begin(),
+                             cube_group_offsets_.end() - 1);
+  for (const Group& g : run_groups_) cube_groups_[fill[g.cube]++] = g;
+  // Labels, one column at a time.
+  std::vector<const hierarchy::CodeId*> values(rows);
+  for (uint32_t row = 0; row < rows; ++row) {
+    values[row] = obs.obs(ids_[row]).dims.data();
+  }
+  pre_.resize(num_dims_ * rows);
+  post_.resize(num_dims_ * rows);
+  for (qb::DimId d = 0; d < num_dims_; ++d) {
+    const hierarchy::CodeList& list = obs.space().code_list(d);
+    const hierarchy::EulerLabels labels = list.euler_labels();
+    const hierarchy::CodeId root = list.root();
+    uint32_t* const pre = pre_.data() + std::size_t{d} * rows;
+    uint32_t* const post = post_.data() + std::size_t{d} * rows;
+    for (uint32_t row = 0; row < rows; ++row) {
+      const hierarchy::CodeId value = values[row][d];
+      const hierarchy::CodeId code = value == hierarchy::kNoCode ? root : value;
+      pre[row] = labels.pre[code];
+      post[row] = labels.post[code];
+    }
   }
 }
 

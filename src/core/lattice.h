@@ -90,6 +90,10 @@ class Lattice {
   void RemoveObservation(qb::ObsId i);
 
  private:
+  // AddObservation with the caller's signature buffer, which it overwrites:
+  // the signature is copied only when it names a new cube.
+  CubeId Add(const qb::ObservationSet& obs, qb::ObsId i, CubeSignature* sig);
+
   std::unordered_map<CubeSignature, CubeId, CubeSignatureHash> index_;
   std::vector<CubeSignature> signatures_;
   std::vector<std::vector<qb::ObsId>> members_;
@@ -137,55 +141,90 @@ struct DimLabel {
 };
 
 /// \brief cubeMasking's plain-data view of a lattice (DESIGN.md §5): one row
-/// per member in cube-major order, each holding the member's DimLabel for
-/// every dimension.
+/// per member, ordered by measure mask, then cube, then ObsId, with the
+/// members' root-padded labels stored column by column.
 ///
-/// Inside a cube, rows are grouped by measure mask and ascend by ObsId
-/// within a group, so a pass skips whole group pairs that share no measure
-/// (Def. 4 condition 3). Built once per lattice from its members (a
-/// partition-local lattice packs only its partition) and only read after,
-/// so one table serves any number of concurrent outer-cube ranges.
+/// A group is one cube's rows with one measure mask; a mask run is one
+/// mask's groups placed back to back in cube order. So the members of every
+/// cube comparable to an outer cube that share a measure with one of its
+/// groups lie in a few long row ranges, whose labels a pass reads one
+/// dimension column at a time (Def. 4 condition 3 skips whole runs). Built
+/// once per lattice from its members (a partition-local lattice packs only
+/// its partition) and only read after, so one table serves any number of
+/// concurrent outer-cube ranges.
 class MemberTable {
  public:
-  /// Rows [begin, end) of one cube whose members share `measure_mask`.
+  /// Rows [begin, end) of cube `cube` whose members share `measure_mask`.
   struct Group {
     uint32_t begin;
     uint32_t end;
     uint64_t measure_mask;
+    CubeId cube;
   };
 
-  /// Packs the members of `lattice`, whose observations live in `obs`, in
-  /// one pass. Any later change to the lattice invalidates the table.
+  /// The rows [begin, end) of every member with `measure_mask`: the groups
+  /// [first_group, end_group) of run_groups(), in cube order.
+  struct MaskRun {
+    uint64_t measure_mask;
+    uint32_t begin;
+    uint32_t end;
+    uint32_t first_group;
+    uint32_t end_group;
+  };
+
+  /// Packs the members of `lattice`, whose observations live in `obs`, with
+  /// one bucket pass over them (no comparison sort: a lattice's members
+  /// already ascend by ObsId). Any later change to the lattice invalidates
+  /// the table.
   MemberTable(const qb::ObservationSet& obs, const Lattice& lattice);
 
   std::size_t num_dims() const { return num_dims_; }
-  std::size_t num_cubes() const { return cube_rows_.size() - 1; }
+  std::size_t num_cubes() const { return cube_sizes_.size(); }
+  std::size_t num_rows() const { return ids_.size(); }
+  std::size_t cube_size(CubeId c) const { return cube_sizes_[c]; }
 
-  /// Rows of cube c are [cube_begin(c), cube_end(c)).
-  uint32_t cube_begin(CubeId c) const { return cube_rows_[c]; }
-  uint32_t cube_end(CubeId c) const { return cube_rows_[c + 1]; }
-  std::size_t cube_size(CubeId c) const { return cube_end(c) - cube_begin(c); }
-
-  /// The measure groups of cube c, in row order.
+  /// The groups of cube c, measure masks ascending.
   std::span<const Group> groups(CubeId c) const {
-    return {groups_.data() + cube_groups_[c],
-            groups_.data() + cube_groups_[c + 1]};
+    return {cube_groups_.data() + cube_group_offsets_[c],
+            cube_groups_.data() + cube_group_offsets_[c + 1]};
+  }
+
+  /// The mask runs, measure masks ascending; together they tile the rows.
+  std::span<const MaskRun> runs() const { return runs_; }
+
+  /// The groups of `run`, in row order (cube order).
+  std::span<const Group> run_groups(const MaskRun& run) const {
+    return {run_groups_.data() + run.first_group,
+            run_groups_.data() + run.end_group};
   }
 
   qb::ObsId id(uint32_t row) const { return ids_[row]; }
 
-  /// The row's labels, indexed by dimension.
-  const DimLabel* labels(uint32_t row) const {
-    return labels_.data() + std::size_t{row} * num_dims_;
+  /// Dimension d's pre labels, one entry per row.
+  const uint32_t* pre(qb::DimId d) const {
+    return pre_.data() + std::size_t{d} * ids_.size();
+  }
+
+  /// Dimension d's post labels, one entry per row.
+  const uint32_t* post(qb::DimId d) const {
+    return post_.data() + std::size_t{d} * ids_.size();
+  }
+
+  /// Row `row`'s label on dimension d.
+  DimLabel label(qb::DimId d, uint32_t row) const {
+    return {pre(d)[row], post(d)[row]};
   }
 
  private:
   std::size_t num_dims_;
-  std::vector<uint32_t> cube_rows_;    // num_cubes + 1 row offsets
-  std::vector<uint32_t> cube_groups_;  // num_cubes + 1 offsets into groups_
-  std::vector<Group> groups_;
-  std::vector<qb::ObsId> ids_;         // row -> ObsId
-  std::vector<DimLabel> labels_;       // row-major, num_dims_ per row
+  std::vector<uint32_t> cube_sizes_;
+  std::vector<uint32_t> cube_group_offsets_;  // num_cubes + 1 into cube_groups_
+  std::vector<Group> cube_groups_;            // cube-major
+  std::vector<Group> run_groups_;             // row order
+  std::vector<MaskRun> runs_;
+  std::vector<qb::ObsId> ids_;                // row -> ObsId
+  std::vector<uint32_t> pre_;                 // column-major, num_dims_ columns
+  std::vector<uint32_t> post_;
 };
 
 }  // namespace core

@@ -6,10 +6,10 @@
 // value is an ancestor-or-self of b's, i.e. when a's Euler-tour interval
 // encloses b's. Every form below reduces to Encloses on those labels: the
 // ObservationSet forms (incremental engine, distributed cross phase) read
-// them through the code lists, the row forms (cubeMasking's passes, the
-// snapshot refresh delta) read them packed, in a MemberTable or a corpus-wide
-// label array. The measure gate (Def. 4 condition 3) stays with the callers:
-// complementarity must not apply it.
+// them through the code lists, the column forms (cubeMasking's passes) read
+// a MemberTable's label columns, and the row forms (the snapshot refresh
+// delta) read a corpus-wide label array. The measure gate (Def. 4
+// condition 3) stays with the callers: complementarity must not apply it.
 
 #ifndef RDFCUBE_CORE_PAIR_KERNEL_H_
 #define RDFCUBE_CORE_PAIR_KERNEL_H_
@@ -32,8 +32,15 @@ namespace core {
 /// list's Euler-tour intervals are nested or disjoint, so that reduces to
 /// b.pre lying in [a.pre, a.post]: one unsigned comparison, and no branch
 /// on a data-dependent outcome that would mispredict about half the time.
+/// Only b's pre label is read, which is what lets the column forms stream
+/// one array per dimension.
+RDFCUBE_HOT inline bool EnclosesPre(DimLabel a, uint32_t b_pre) {
+  return b_pre - a.pre <= a.post - a.pre;
+}
+
+/// EnclosesPre on two labels.
 RDFCUBE_HOT inline bool Encloses(DimLabel a, DimLabel b) {
-  return b.pre - a.pre <= a.post - a.pre;
+  return EnclosesPre(a, b.pre);
 }
 
 /// Observation `i`'s root-padded label on dimension `d`.
@@ -93,44 +100,37 @@ RDFCUBE_HOT inline bool ValuesEqual(const qb::ObservationSet& obs, qb::ObsId a,
   return true;
 }
 
+// --- Column forms -------------------------------------------------------------
+
+/// One dimension's pass over a run of inner rows: adds Encloses(a, row i)
+/// into count[i] for each of the `len` rows whose pre labels start at
+/// `pre`. Branch-free, so gcc -O3 vectorizes it with baseline SSE2.
+RDFCUBE_HOT inline void CountEnclosed(DimLabel a, const uint32_t* pre,
+                                      std::size_t len, uint8_t* count) {
+  for (std::size_t i = 0; i < len; ++i) {
+    count[i] = static_cast<uint8_t>(count[i] + (EnclosesPre(a, pre[i]) ? 1 : 0));
+  }
+}
+
+/// The same pass for Algorithm 2's map_P: ORs dimension d's bit into
+/// mask[i] for each row that `a` encloses.
+RDFCUBE_HOT inline void MarkEnclosed(DimLabel a, qb::DimId d,
+                                     const uint32_t* pre, std::size_t len,
+                                     uint64_t* mask) {
+  for (std::size_t i = 0; i < len; ++i) {
+    mask[i] |= uint64_t{EnclosesPre(a, pre[i])} << d;
+  }
+}
+
 // --- Row forms ----------------------------------------------------------------
 
-/// ObservationSet's dimension ceiling: the dimension classes below are
-/// 64-bit masks.
+/// ObservationSet's dimension ceiling: a dimension set is a 64-bit mask.
 inline constexpr std::size_t kMaxPlanDims = 64;
 
-/// \brief The dimensions of one cube pair, sorted by what the two level
-/// signatures already decide about containment of an outer-cube member over
-/// an inner-cube member:
-///  * outer level 0 (the root) always contains: counted, never tested;
-///  * outer level above inner level never contains: skipped;
-///  * any other dimension needs the interval test.
+/// \brief The dimensions a row form tests, as a bit set.
 struct DimPlan {
-  uint64_t always = 0;
-  uint64_t never = 0;
   uint64_t tested = 0;
-  /// Number of `always` dimensions.
-  uint32_t num_always = 0;
 };
-
-/// Classifies every dimension of the cube pair (outer, inner), once.
-/// Precondition: at most kMaxPlanDims dimensions.
-RDFCUBE_HOT inline DimPlan PlanDims(const CubeSignature& outer,
-                                    const CubeSignature& inner) {
-  DimPlan plan;
-  for (qb::DimId d = 0; d < outer.levels.size(); ++d) {
-    const uint64_t bit = uint64_t{1} << d;
-    if (outer.levels[d] == 0) {
-      plan.always |= bit;
-      ++plan.num_always;
-    } else if (outer.levels[d] > inner.levels[d]) {
-      plan.never |= bit;
-    } else {
-      plan.tested |= bit;
-    }
-  }
-  return plan;
-}
 
 /// The plan of a pair whose level signatures are not at hand (the snapshot
 /// refresh delta): every one of the `num_dims` dimensions is tested.
@@ -140,27 +140,6 @@ RDFCUBE_HOT inline DimPlan AllDimsTested(std::size_t num_dims) {
   plan.tested = num_dims == kMaxPlanDims ? ~uint64_t{0}
                                          : (uint64_t{1} << num_dims) - 1;
   return plan;
-}
-
-// The row forms walk the set bits of plan.tested: a loop whose trip count
-// the vectorizer cannot compute, which suits the few dimensions a typical
-// plan leaves open better than vector code would.
-
-/// Row form of CountContainingDims over the plan's tested dimensions: how
-/// many of them `a` contains `b` on, ORing each one's bit into `*mask`.
-RDFCUBE_HOT inline uint32_t CountTestedDims(const DimPlan& plan,
-                                            const DimLabel* a,
-                                            const DimLabel* b, uint64_t* mask) {
-  uint32_t count = 0;
-  uint64_t bits = 0;
-  for (uint64_t open = plan.tested; open != 0; open &= open - 1) {
-    const int d = std::countr_zero(open);
-    const bool in = Encloses(a[d], b[d]);
-    count += in ? 1 : 0;
-    bits |= uint64_t{in} << d;
-  }
-  *mask |= bits;
-  return count;
 }
 
 /// Row form of CountContainingDimsBothWays over the plan's tested
@@ -177,22 +156,9 @@ RDFCUBE_HOT inline ContainingDims CountTestedDimsBothWays(const DimPlan& plan,
   return counts;
 }
 
-/// Row form of full dimensional containment for a plan without never
-/// dimensions: `a` contains `b` on every tested dimension.
-RDFCUBE_HOT inline bool TestedDimsContain(const DimPlan& plan,
-                                          const DimLabel* a,
-                                          const DimLabel* b) {
-  for (uint64_t open = plan.tested; open != 0; open &= open - 1) {
-    const int d = std::countr_zero(open);
-    if (!Encloses(a[d], b[d])) return false;
-  }
-  return true;
-}
-
-/// Row form of ValuesEqual for two members of one cube, with `plan` from
-/// PlanDims(cube, cube): they agree on every root dimension already, and a
-/// label's pre names its code, so equal pre on the tested ones suffices.
-/// With AllDimsTested it is ValuesEqual for any two rows.
+/// Row form of ValuesEqual over the plan's tested dimensions: a label's pre
+/// names its code, so equal pre suffices. With AllDimsTested it is
+/// ValuesEqual for any two rows.
 RDFCUBE_HOT inline bool TestedValuesEqual(const DimPlan& plan,
                                           const DimLabel* a,
                                           const DimLabel* b) {

@@ -120,50 +120,88 @@ TEST(LatticeTest, DeepLevelsDoNotWrap) {
 }
 
 TEST(MemberTableTest, RowsAreGroupedPerCubeWithRootPaddedLabels) {
-  // One cube of three measure groups, and many small cubes.
+  // One cube of three measure groups; many small cubes; many cubes over
+  // overlapping measure masks.
   qb::Corpus corpus = MakeAllRootCorpus(12);
   qb::Corpus deep = MakeDeepChainCorpus();
-  for (const qb::Corpus* c : {&corpus, &deep}) {
+  qb::Corpus random = MakeRandomCorpus(3, 80);
+  for (const qb::Corpus* c : {&corpus, &deep, &random}) {
     const qb::ObservationSet& obs = *c->observations;
     const Lattice lattice(obs);
     const MemberTable table(obs, lattice);
     ASSERT_EQ(table.num_cubes(), lattice.num_cubes());
     ASSERT_EQ(table.num_dims(), obs.space().num_dimensions());
+    ASSERT_EQ(table.num_rows(), obs.size());
+    auto mask_of = [&](uint32_t row) {
+      return obs.obs(table.id(row)).measure_mask;
+    };
+    auto key_of = [&](uint32_t row) {
+      return std::make_tuple(mask_of(row), lattice.cube_of(table.id(row)),
+                             table.id(row));
+    };
+    // Rows ascend by (mask, cube, ObsId), with root-padded label columns.
     std::vector<qb::ObsId> seen;
-    for (CubeId cube = 0; cube < lattice.num_cubes(); ++cube) {
-      ASSERT_EQ(table.cube_size(cube), lattice.members(cube).size());
-      uint32_t next = table.cube_begin(cube);
-      uint64_t last_mask = 0;
-      for (const MemberTable::Group& g : table.groups(cube)) {
-        EXPECT_EQ(g.begin, next);  // groups tile the cube's rows
-        EXPECT_LT(g.begin, g.end);
-        if (next != table.cube_begin(cube)) {
-          EXPECT_GT(g.measure_mask, last_mask);
-        }
-        last_mask = g.measure_mask;
-        next = g.end;
-        for (uint32_t row = g.begin; row < g.end; ++row) {
-          const qb::ObsId id = table.id(row);
-          seen.push_back(id);
-          EXPECT_EQ(lattice.cube_of(id), cube);
-          EXPECT_EQ(obs.obs(id).measure_mask, g.measure_mask);
-          if (row > g.begin) {
-            EXPECT_LT(table.id(row - 1), id);
-          }
-          for (qb::DimId d = 0; d < table.num_dims(); ++d) {
-            const hierarchy::EulerLabels labels =
-                obs.space().code_list(d).euler_labels();
-            const hierarchy::CodeId code = obs.ValueOrRoot(id, d);
-            EXPECT_EQ(table.labels(row)[d].pre, labels.pre[code]);
-            EXPECT_EQ(table.labels(row)[d].post, labels.post[code]);
-          }
-        }
+    for (uint32_t row = 0; row < table.num_rows(); ++row) {
+      seen.push_back(table.id(row));
+      if (row > 0) {
+        EXPECT_LT(key_of(row - 1), key_of(row));
       }
-      EXPECT_EQ(next, table.cube_end(cube));
+      for (qb::DimId d = 0; d < table.num_dims(); ++d) {
+        const hierarchy::EulerLabels labels =
+            obs.space().code_list(d).euler_labels();
+        const hierarchy::CodeId code = obs.ValueOrRoot(table.id(row), d);
+        EXPECT_EQ(table.pre(d)[row], labels.pre[code]);
+        EXPECT_EQ(table.post(d)[row], labels.post[code]);
+      }
     }
     std::sort(seen.begin(), seen.end());
     ASSERT_EQ(seen.size(), obs.size());
     for (qb::ObsId i = 0; i < obs.size(); ++i) EXPECT_EQ(seen[i], i);
+    // Each mask run is contiguous: the runs tile the rows, masks ascending,
+    // and each run's groups tile its rows in cube order.
+    uint32_t next_row = 0;
+    for (const MemberTable::MaskRun& run : table.runs()) {
+      EXPECT_EQ(run.begin, next_row);
+      EXPECT_LT(run.begin, run.end);
+      if (run.begin > 0) {
+        EXPECT_LT(mask_of(run.begin - 1), run.measure_mask);
+      }
+      uint32_t next = run.begin;
+      for (const MemberTable::Group& g : table.run_groups(run)) {
+        EXPECT_EQ(g.begin, next);
+        EXPECT_EQ(g.measure_mask, run.measure_mask);
+        if (next != run.begin) {
+          EXPECT_LT(lattice.cube_of(table.id(next - 1)), g.cube);
+        }
+        next = g.end;
+      }
+      EXPECT_EQ(next, run.end);
+      for (uint32_t row = run.begin; row < run.end; ++row) {
+        EXPECT_EQ(mask_of(row), run.measure_mask);
+      }
+      next_row = run.end;
+    }
+    EXPECT_EQ(next_row, table.num_rows());
+    // Each cube's groups cover exactly its members, masks ascending.
+    for (CubeId cube = 0; cube < lattice.num_cubes(); ++cube) {
+      ASSERT_EQ(table.cube_size(cube), lattice.members(cube).size());
+      std::size_t covered = 0;
+      uint64_t last_mask = 0;
+      for (const MemberTable::Group& g : table.groups(cube)) {
+        EXPECT_LT(g.begin, g.end);
+        EXPECT_EQ(g.cube, cube);
+        if (covered > 0) {
+          EXPECT_GT(g.measure_mask, last_mask);
+        }
+        last_mask = g.measure_mask;
+        covered += g.end - g.begin;
+        for (uint32_t row = g.begin; row < g.end; ++row) {
+          EXPECT_EQ(lattice.cube_of(table.id(row)), cube);
+          EXPECT_EQ(mask_of(row), g.measure_mask);
+        }
+      }
+      EXPECT_EQ(covered, lattice.members(cube).size());
+    }
   }
 }
 
@@ -178,8 +216,10 @@ TEST(MemberTableTest, PacksOnlyTheLatticeMembers) {
   std::size_t rows = 0;
   for (CubeId c = 0; c < table.num_cubes(); ++c) {
     rows += table.cube_size(c);
-    for (uint32_t row = table.cube_begin(c); row < table.cube_end(c); ++row) {
-      EXPECT_EQ(table.id(row) % 2, 1u);
+    for (const MemberTable::Group& g : table.groups(c)) {
+      for (uint32_t row = g.begin; row < g.end; ++row) {
+        EXPECT_EQ(table.id(row) % 2, 1u);
+      }
     }
   }
   EXPECT_EQ(rows, obs.size() / 2);
@@ -419,10 +459,13 @@ Records ExpectAllPathsMatchBaseline(const qb::ObservationSet& obs) {
 
 class ExactOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The corpus ExactOracleTest.RandomCorpora checks for `seed`.
+qb::Corpus RandomOracleCorpus(uint64_t seed) {
+  return MakeRandomCorpus(seed * 17 + 1, 40 + seed % 30, 3 + seed % 3);
+}
+
 TEST_P(ExactOracleTest, RandomCorpora) {
-  const uint64_t seed = GetParam();
-  qb::Corpus corpus = MakeRandomCorpus(seed * 17 + 1, 40 + seed % 30,
-                                       3 + seed % 3);
+  qb::Corpus corpus = RandomOracleCorpus(GetParam());
   const Records base = ExpectAllPathsMatchBaseline(*corpus.observations);
   EXPECT_FALSE(base.partial.empty());
 }
@@ -435,6 +478,42 @@ TEST_P(ExactOracleTest, DuplicateCoordinates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactOracleTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// The random corpora above reach the two walk shapes a partial pass must get
+// right: a mask run in which a cube not comparable to the outer cube sits
+// between comparable ones (the run splits into two row ranges), and an
+// outer group that shares measures with two or more mask runs.
+TEST(ExactOracleShapesTest, RandomCorporaSplitRunsAndShareSeveralRuns) {
+  bool split = false;
+  bool several = false;
+  for (uint64_t seed = 1; seed < 9; ++seed) {
+    qb::Corpus corpus = RandomOracleCorpus(seed);
+    const qb::ObservationSet& obs = *corpus.observations;
+    const Lattice lattice(obs);
+    const MemberTable table(obs, lattice);
+    for (CubeId j = 0; j < lattice.num_cubes(); ++j) {
+      const CubeSignature& sj = lattice.signature(j);
+      for (const MemberTable::Group& outer : table.groups(j)) {
+        std::size_t shared_runs = 0;
+        for (const MemberTable::MaskRun& run : table.runs()) {
+          if ((outer.measure_mask & run.measure_mask) == 0) continue;
+          ++shared_runs;
+          bool seen = false;
+          bool gap = false;
+          for (const MemberTable::Group& g : table.run_groups(run)) {
+            const bool comparable = sj.DominatesAny(lattice.signature(g.cube));
+            split = split || (comparable && gap);
+            gap = gap || (seen && !comparable);
+            seen = seen || comparable;
+          }
+        }
+        several = several || shared_runs >= 2;
+      }
+    }
+  }
+  EXPECT_TRUE(split);
+  EXPECT_TRUE(several);
+}
 
 TEST(ExactOracleShapesTest, SixtyFourDimensions) {
   qb::Corpus corpus = MakeWideCorpus(3);
@@ -507,18 +586,38 @@ TEST(CubeMaskingFunnelTest, CoveredPairsCountMeasureDisjointGroups) {
 }
 
 TEST(CubeMaskingFunnelTest, DeadlineIsReadEvery4096PairsInsideACube) {
-  // Every pair sits in one cube pair, so the deadline must be read inside
-  // it: an expired one stops the run before it evaluates (and so emits)
-  // more than 4,096 pairs.
-  qb::Corpus corpus = MakeAllRootCorpus(300);
-  for (bool prefetch : {true, false}) {
+  // In the all-root corpus every pair sits in one cube pair, so the
+  // deadline must be read inside it. In the one-dataset random corpus
+  // every member shares one measure mask, so an outer row's comparable
+  // inner rows form long runs across many small cubes, which must be cut
+  // as well. Either way an expired deadline stops the run before it
+  // evaluates (and so emits) more than 4,096 pairs.
+  qb::Corpus one_cube = MakeAllRootCorpus(300);
+  qb::Corpus small_cubes =
+      MakeRandomCorpus(7, 600, /*num_dims=*/5, /*num_datasets=*/1);
+  {
+    const qb::ObservationSet& obs = *small_cubes.observations;
+    const Lattice lattice(obs);
+    const MemberTable table(obs, lattice);
+    ASSERT_EQ(table.runs().size(), 1u);
+    ASSERT_GE(lattice.num_cubes(), 50u);
+    for (CubeId c = 0; c < lattice.num_cubes(); ++c) {
+      ASSERT_LT(table.cube_size(c), 64u);
+    }
     CountingSink sink;
-    CubeMaskingOptions options;
-    options.prefetch_children = prefetch;
-    options.deadline = Deadline(0.0);
-    EXPECT_TRUE(
-        RunCubeMasking(*corpus.observations, options, &sink).IsTimedOut());
-    EXPECT_LE(sink.full() + sink.partial() + sink.complementary(), 4096u);
+    ASSERT_TRUE(RunCubeMasking(obs, CubeMaskingOptions{}, &sink).ok());
+    ASSERT_GT(sink.full() + sink.partial() + sink.complementary(), 4096u);
+  }
+  for (const qb::Corpus* corpus : {&one_cube, &small_cubes}) {
+    for (bool prefetch : {true, false}) {
+      CountingSink sink;
+      CubeMaskingOptions options;
+      options.prefetch_children = prefetch;
+      options.deadline = Deadline(0.0);
+      EXPECT_TRUE(
+          RunCubeMasking(*corpus->observations, options, &sink).IsTimedOut());
+      EXPECT_LE(sink.full() + sink.partial() + sink.complementary(), 4096u);
+    }
   }
 }
 
@@ -598,22 +697,16 @@ TEST(EngineTest, HybridThroughFacade) {
 
 TEST(EngineTest, DeadlinePropagates) {
   qb::Corpus corpus = MakeRandomCorpus(5, 600);
-  CollectingSink sink;
-  EngineOptions options;
-  options.method = Method::kBaseline;
-  options.deadline = Deadline(1e-9);
-  EXPECT_TRUE(
-      ComputeRelationships(*corpus.observations, options, &sink).IsTimedOut());
-}
-
-TEST(EngineTest, DeprecatedTimeoutSecondsStillHonored) {
-  qb::Corpus corpus = MakeRandomCorpus(5, 600);
-  CollectingSink sink;
-  EngineOptions options;
-  options.method = Method::kBaseline;
-  options.timeout_seconds = 1e-9;  // legacy field, no Deadline supplied
-  EXPECT_TRUE(
-      ComputeRelationships(*corpus.observations, options, &sink).IsTimedOut());
+  for (Method method : {Method::kBaseline, Method::kClustering,
+                        Method::kCubeMasking, Method::kHybrid}) {
+    CollectingSink sink;
+    EngineOptions options;
+    options.method = method;
+    options.deadline = Deadline(1e-9);
+    EXPECT_TRUE(
+        ComputeRelationships(*corpus.observations, options, &sink).IsTimedOut())
+        << MethodName(method);
+  }
 }
 
 }  // namespace
