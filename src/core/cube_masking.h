@@ -61,9 +61,9 @@ struct CubeMaskingStats {
                       const CubeChildrenIndex* children = nullptr);
 
 /// \brief Runs cubeMasking over a MemberTable packed from `lattice`, for
-/// callers that run more than once over one lattice (the distributed
-/// driver packs each partition's table once, outside its retries). Fails
-/// with InvalidArgument when `table` was packed from another lattice.
+/// callers that run more than once over one lattice (RunDistributedMasking
+/// packs each partition's table once, outside its retries). Fails with
+/// InvalidArgument when `table` was packed from another lattice.
 [[nodiscard]] Status RunCubeMasking(const qb::ObservationSet& obs,
                                     const Lattice& lattice,
                                     const MemberTable& table,
