@@ -21,9 +21,12 @@
 // server.deadline_expired_total from the server's own counters, and the
 // per-op RED attribution op.<op>.requests / op.<op>.mean_us for every wire
 // op (delta of the rdfcube_server_<op>_* metrics over the run; the ops this
-// bench never sends report zero). check_bench_json.sh asserts the op.*
-// requests sum equals server.requests_total — the same conservation law the
-// chaos soak enforces.
+// bench never sends report zero), and the snapshot build's unit cost:
+// build.ms (its own serve/build span inside serve/setup),
+// build.relationships and build.ns_per_relationship. check_bench_json.sh
+// asserts the op.* requests sum equals server.requests_total — the same
+// conservation law the chaos soak enforces — and build.relationships equals
+// the relationships the masking kernel emitted.
 
 #include <benchmark/benchmark.h>
 
@@ -75,6 +78,8 @@ struct ServeRunStats {
   uint64_t server_sheds = 0;
   uint64_t server_deadline_expired = 0;
   OpStat per_op[kNumOps];
+  double build_ms = 0.0;
+  uint64_t build_relationships = 0;
   bool ran = false;
 };
 
@@ -176,8 +181,11 @@ WorkloadResult RunWorkload(
 }
 
 void RunServe() {
-  std::size_t n = 2000, point_threads = 4, point_per_thread = 1500;
-  std::size_t scan_threads = 2, scan_per_thread = 100;
+  // The default size sends 120,000 point and 4,000 scan requests, about
+  // 1.7 s of traffic on a 4-vCPU guest, so one busy moment of the host
+  // barely moves the percentiles.
+  std::size_t n = 2000, point_threads = 4, point_per_thread = 30000;
+  std::size_t scan_threads = 2, scan_per_thread = 2000;
   uint32_t scan_limit = 2000;
   if (benchutil::LargeMode()) {
     n = 20000;
@@ -212,13 +220,19 @@ void RunServe() {
     }
     core::RelationshipSnapshot::BuildOptions bopts;
     bopts.version = 1;
+    obs::TraceSpan build("serve/build");
     auto snap =
         core::RelationshipSnapshot::Build(std::move(corpus.value()), bopts);
+    g_stats.build_ms = build.ElapsedSeconds() * 1e3;
+    build.End();
     if (!snap.ok()) {
       std::fprintf(stderr, "snapshot build failed: %s\n",
                    snap.status().ToString().c_str());
       std::abort();
     }
+    const core::RelationshipSnapshot& built = *snap.value();
+    g_stats.build_relationships =
+        built.num_full() + built.num_partial() + built.num_complementary();
     const Status st = srv.Start(std::move(snap.value()));
     if (!st.ok()) {
       std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
@@ -288,6 +302,13 @@ void Decorate(obs::RunReport* report) {
                   static_cast<double>(g_stats.server_sheds));
   report->AddStat("server.deadline_expired_total",
                   static_cast<double>(g_stats.server_deadline_expired));
+  const double relationships =
+      static_cast<double>(g_stats.build_relationships);
+  report->AddStat("build.ms", g_stats.build_ms);
+  report->AddStat("build.relationships", relationships);
+  report->AddStat("build.ns_per_relationship",
+                  relationships > 0.0 ? g_stats.build_ms * 1e6 / relationships
+                                      : 0.0);
   for (std::size_t i = 0; i < kNumOps; ++i) {
     const std::string p = std::string("op.") + kOpNames[i];
     report->AddStat(p + ".requests",

@@ -16,7 +16,13 @@
 #      request bound so a healthy server never sheds — a shed is a regression),
 #      plus per-op RED stats op.<op>.{requests,mean_us} for every wire op,
 #      whose request counts must sum to exactly server.requests_total (the
-#      metrics-conservation law the chaos soak also enforces).
+#      metrics-conservation law the chaos soak also enforces), and the
+#      snapshot build's unit cost: build.{ms,relationships,
+#      ns_per_relationship}, each finite and positive, timed in a serve/build
+#      span, with build.relationships (what the snapshot holds) equal to the
+#      relationships the masking kernel emitted
+#      (rdfcube_masking_relationships_emitted_total; the build is the only
+#      masking run in the process).
 #
 # The 10% tolerance is the acceptance criterion for the observability layer:
 # CapturePhases partitions the root span exactly, so a drift here means the
@@ -82,6 +88,7 @@ for report in "$out_dir/BENCH_fig5f_cube_ratio.json" \
   echo "== validate $report =="
   python3 - "$report" <<'EOF'
 import json
+import math
 import sys
 
 path = sys.argv[1]
@@ -156,6 +163,27 @@ if report["name"] == "serve":
         needed = [f"serve/{'point_lookup' if w == 'point' else 'bulk_scan'}"]
         if not any(p["name"] in needed for p in phases):
             sys.exit(f"FAIL: serve phases missing {needed[0]}")
+    # Snapshot build unit cost: positive, finite, timed in its own span, and
+    # conserved against the kernel's emitted tally.
+    for key in ("build.ms", "build.relationships",
+                "build.ns_per_relationship"):
+        value = stats.get(key)
+        if (not isinstance(value, (int, float)) or not math.isfinite(value)
+                or not value > 0):
+            sys.exit(f"FAIL: serve stat {key} must be finite and positive, "
+                     f"got {value}")
+    emitted = metrics["counters"].get(
+        "rdfcube_masking_relationships_emitted_total")
+    if stats["build.relationships"] != emitted:
+        sys.exit(f"FAIL: build.relationships {stats['build.relationships']} "
+                 f"!= rdfcube_masking_relationships_emitted_total {emitted}")
+    per_rel = stats["build.ms"] * 1e6 / stats["build.relationships"]
+    if abs(stats["build.ns_per_relationship"] - per_rel) > 1e-6 * per_rel:
+        sys.exit(f"FAIL: build.ns_per_relationship "
+                 f"{stats['build.ns_per_relationship']} is not build.ms per "
+                 f"relationship ({per_rel})")
+    if not any(s["name"] == "serve/build" for s in report["span_rollup"]):
+        sys.exit("FAIL: serve span_rollup missing serve/build")
 
 print(f"OK: {report['name']}: {len(phases)} phases sum to {total:.6f}s "
       f"of {wall:.6f}s wall ({drift:.2%} drift)")

@@ -60,11 +60,13 @@ void FlushMaskingCounters(const CubeMaskingStats& before,
 
 // Shared state of one run. Every pass walks outer cubes. For outer cube j
 // it marks the inner cubes comparable to j (the §3.3 lattice pruning,
-// counted in the funnel), then, for each mask run that shares a measure
-// with one of j's groups (Def. 4 condition 3), merges the marked cubes'
-// groups of that run into maximal row ranges (segments) and evaluates each
-// of the group's outer rows against them, one chunk of at most
-// kDeadlineStride rows at a time. Every buffer is sized here, once.
+// counted in the funnel), then merges the marked cubes' groups of every
+// mask run that shares a measure with one of j's groups (Def. 4 condition
+// 3) into maximal row ranges (segments). Each of j's rows is then walked
+// over every segment whose run shares a measure with the row's group, one
+// chunk of at most kDeadlineStride rows at a time, so an outer row's
+// containments reach the sink in one stretch. Every buffer is sized here,
+// once.
 struct Run {
   RDFCUBE_COLD Run(const MemberTable& table_in, const Lattice& lattice_in,
                    const CubeMaskingOptions& options_in,
@@ -79,7 +81,7 @@ struct Run {
         kd(table_in.num_dims()),
         want_mask(options_in.selector.partial_dimension_map),
         comparable(lattice_in.num_cubes(), 0),
-        segments(lattice_in.num_cubes()),
+        segments(table_in.num_groups()),
         tested(kd),
         columns(kd),
         outer(kd),
@@ -93,10 +95,11 @@ struct Run {
     }
   }
 
-  // A row range [begin, end) of one mask run.
+  // A row range [begin, end) of one mask run, and the run's measures.
   struct Segment {
     uint32_t begin;
     uint32_t end;
+    uint64_t measure_mask;
   };
 
   const MemberTable& table;
@@ -109,7 +112,7 @@ struct Run {
   const bool want_mask;
   std::size_t deadline_steps = 0;
   std::vector<uint8_t> comparable;  // per inner cube, for the outer cube
-  std::vector<Segment> segments;    // a run holds one group per cube at most
+  std::vector<Segment> segments;    // at most one per member-table group
   // The outer cube's non-root dimensions and their pre columns (its root
   // dimensions contain every value, so they are counted without a test).
   std::vector<qb::DimId> tested;
@@ -203,28 +206,31 @@ struct Run {
     }
   }
 
-  // Merges the marked cubes' groups of `run` into maximal row ranges: a
-  // group of an unmarked cube between two marked ones splits a range.
-  RDFCUBE_HOT std::size_t MergeComparable(const MemberTable::MaskRun& run) {
-    std::size_t n = 0;
+  // Appends the marked cubes' groups of `run` to segments [n, ...) as
+  // maximal row ranges: a group of an unmarked cube between two marked ones
+  // splits a range, and no range crosses into another run. Returns the new
+  // segment count.
+  RDFCUBE_HOT std::size_t MergeComparable(const MemberTable::MaskRun& run,
+                                          std::size_t n) {
+    const std::size_t first = n;
     for (const MemberTable::Group& g : table.run_groups(run)) {
       if (comparable[g.cube] == 0) continue;
-      if (n > 0 && segments[n - 1].end == g.begin) {
+      if (n > first && segments[n - 1].end == g.begin) {
         segments[n - 1].end = g.end;
       } else {
-        segments[n++] = {g.begin, g.end};
+        segments[n++] = {g.begin, g.end, run.measure_mask};
       }
     }
     return n;
   }
 
-  // Containment of outer row `ra` over rows [lo, hi), ra excluded, with
-  // every pair's containing dimensions counted first, one column pass per
-  // tested dimension, and only then emitted: partial containment, plus full
-  // when `full`. kMask: report partial dimension masks (a second pass per
-  // column, so runs without the map skip it). Returns how many
-  // relationships it emitted. The sink and the tables are copied into
-  // locals, so the virtual sink calls do not force the loop to reload them.
+  // Containment of outer row `ra` over rows [lo, hi), ra excluded: every
+  // pair's containing dimensions are counted first, one column pass per
+  // tested dimension, then the rows go to the sink as one chunk (two when
+  // ra falls inside, since a chunk never holds its outer row): partial
+  // containment, plus full when `full`. kMask: also mark partial dimension
+  // masks (a second pass per column, so runs without the map skip it).
+  // Returns how many relationships the sink reported.
   template <bool kMask>
   RDFCUBE_HOT std::size_t CountRows(uint32_t ra, uint32_t lo, uint32_t hi,
                                     bool full) {
@@ -239,27 +245,24 @@ struct Run {
         MarkEnclosed(outer[t], tested[t], columns[t] + lo, len, mask);
       }
     }
-    RelationshipSink* const out = sink;
-    const double* const deg = degree.data();
-    const std::size_t k = kd;
-    const qb::ObsId id_a = table.id(ra);
-    std::size_t emitted = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      const uint32_t rb = lo + static_cast<uint32_t>(i);
-      if (rb == ra) continue;
-      const std::size_t c = count[i];
-      if (c == k) {
-        if (full) {
-          ++emitted;
-          out->OnFullContainment(id_a, table.id(rb));
-        }
-      } else if (c > 0) {
-        ++emitted;
-        out->OnPartialContainment(id_a, table.id(rb), deg[c],
-                                  kMask ? mask[i] : 0);
-      }
-    }
-    return emitted;
+    ContainmentChunk chunk{table.id(ra), table.ids() + lo, count,
+                           kMask ? mask : nullptr, len, kd, degree.data(),
+                           full};
+    if (ra < lo || ra >= hi) return Report(chunk);
+    const std::size_t self = ra - lo;
+    chunk.size = self;
+    const std::size_t before = Report(chunk);
+    chunk.ids += self + 1;
+    chunk.counts += self + 1;
+    if constexpr (kMask) chunk.dim_masks += self + 1;
+    chunk.size = len - self - 1;
+    return before + Report(chunk);
+  }
+
+  // Hands a chunk to the sink unless it is empty; returns how many
+  // relationships the sink reported.
+  RDFCUBE_HOT std::size_t Report(const ContainmentChunk& chunk) {
+    return chunk.size == 0 ? 0 : sink->OnContainmentChunk(chunk);
   }
 
   // Full containment only: each pair stops at its first failing dimension.
@@ -283,35 +286,39 @@ struct Run {
   }
 
   // Containment of every member of outer cube j over every member of the
-  // marked cubes, self pairs excluded, skipping mask runs that share no
-  // measure with an outer group. `count`: count every pair's containing
-  // dimensions (partial containment, plus full when `full`); otherwise only
-  // full containment is wanted. Expects MarkComparable(j), SetOuterCube(j).
+  // marked cubes, self pairs excluded, skipping the segments of mask runs
+  // that share no measure with the outer row's group. Row-major: one outer
+  // row meets all of its segments before the next row starts. `count`:
+  // count every pair's containing dimensions (partial containment, plus
+  // full when `full`); otherwise only full containment is wanted. Expects
+  // MarkComparable(j), SetOuterCube(j).
   RDFCUBE_HOT Status ContainOuterCube(CubeId j, bool count, bool full) {
     const std::span<const MemberTable::Group> outer_groups = table.groups(j);
     uint64_t outer_measures = 0;
     for (const MemberTable::Group& g : outer_groups) {
       outer_measures |= g.measure_mask;
     }
+    std::size_t num_segments = 0;
     for (const MemberTable::MaskRun& run : table.runs()) {
-      if ((run.measure_mask & outer_measures) == 0) continue;
-      const std::size_t num_segments = MergeComparable(run);
-      for (const MemberTable::Group& g : outer_groups) {
-        if ((g.measure_mask & run.measure_mask) == 0) continue;
-        for (uint32_t ra = g.begin; ra < g.end; ++ra) {
-          SetOuterRow(ra);
-          for (std::size_t s = 0; s < num_segments; ++s) {
-            const uint32_t end = segments[s].end;
-            for (uint32_t lo = segments[s].begin; lo < end;) {
-              const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
-                  end, std::size_t{lo} + kDeadlineStride));
-              if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
-              stats->relationships_emitted +=
-                  !count      ? FullRows(ra, lo, hi)
-                  : want_mask ? CountRows<true>(ra, lo, hi, full)
-                              : CountRows<false>(ra, lo, hi, full);
-              lo = hi;
-            }
+      if ((run.measure_mask & outer_measures) != 0) {
+        num_segments = MergeComparable(run, num_segments);
+      }
+    }
+    for (const MemberTable::Group& g : outer_groups) {
+      for (uint32_t ra = g.begin; ra < g.end; ++ra) {
+        SetOuterRow(ra);
+        for (std::size_t s = 0; s < num_segments; ++s) {
+          if ((segments[s].measure_mask & g.measure_mask) == 0) continue;
+          const uint32_t end = segments[s].end;
+          for (uint32_t lo = segments[s].begin; lo < end;) {
+            const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
+                end, std::size_t{lo} + kDeadlineStride));
+            if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
+            stats->relationships_emitted +=
+                !count      ? FullRows(ra, lo, hi)
+                : want_mask ? CountRows<true>(ra, lo, hi, full)
+                            : CountRows<false>(ra, lo, hi, full);
+            lo = hi;
           }
         }
       }

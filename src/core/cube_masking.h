@@ -48,8 +48,10 @@ struct CubeMaskingStats {
 /// \brief Runs cubeMasking over a pre-built lattice.
 ///
 /// Relationship semantics match RunBaseline exactly (the method is lossless);
-/// only the enumeration order of emitted relationships differs. Packs the
-/// lattice into a MemberTable first (linear in members × dimensions).
+/// only the enumeration order of emitted relationships differs, and within
+/// each containment pass every outer observation's containments arrive in
+/// one stretch (core/relationship.h). Packs the lattice into a MemberTable
+/// first (linear in members × dimensions).
 ///
 /// `children` is the optional pre-fetched comparable-cube index (Fig. 5(g)):
 /// when provided, every pass enumerates its lists instead of scanning all

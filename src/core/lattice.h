@@ -198,7 +198,13 @@ class MemberTable {
             run_groups_.data() + run.end_group};
   }
 
+  /// Groups over all runs (an upper bound on the row ranges of any walk).
+  std::size_t num_groups() const { return run_groups_.size(); }
+
   qb::ObsId id(uint32_t row) const { return ids_[row]; }
+
+  /// Every row's ObsId, in row order.
+  const qb::ObsId* ids() const { return ids_.data(); }
 
   /// Dimension d's pre labels, one entry per row.
   const uint32_t* pre(qb::DimId d) const {

@@ -46,14 +46,55 @@ struct PartialMatch {
   double degree;
 };
 
+/// \brief One chunk of one outer observation's containment candidates, as
+/// cubeMasking's counting kernel hands it to a sink: at most 4,096 inner
+/// observations, each with the number of dimensions on which `outer`
+/// contains it. The arrays belong to the kernel and are valid only during
+/// the call.
+struct ContainmentChunk {
+  /// The container of every relationship in the chunk.
+  ObsId outer;
+  /// The candidates (never `outer` itself), `size` entries each: their
+  /// ObsIds, their containing-dimension counts, and, when the selector asked
+  /// for the dimension map, the bitmasks of those dimensions (else null).
+  const ObsId* ids;
+  const uint8_t* counts;
+  const uint64_t* dim_masks;
+  std::size_t size;
+  /// A count equal to `num_dims` is full containment; one in (0, num_dims)
+  /// is partial containment with degree `degree[count]`.
+  std::size_t num_dims;
+  const double* degree;
+  /// Whether full containment is selected (partial always is).
+  bool full;
+};
+
 /// \brief Receives relationships as they are discovered.
 ///
 /// Result sets grow quadratically in adversarial inputs; sinks let callers
 /// choose between materializing (CollectingSink), counting (CountingSink) or
 /// custom streaming consumers without the algorithms caring.
+///
+/// Ordering: no engine promises an order across containers. Within one
+/// containment pass of cubeMasking (the fused pass, or one per-type pass),
+/// though, each container's containment relationships, full and partial,
+/// arrive in one uninterrupted stretch: no other container's containment
+/// is reported between its first and its last. The order inside a stretch
+/// is unspecified. RelationshipSnapshot::Build writes its rows on that
+/// promise.
 class RelationshipSink {
  public:
   virtual ~RelationshipSink() = default;
+
+  /// A chunk of the counting kernel: reports Cont_partial(outer, ids[i])
+  /// for every 0 < counts[i] < num_dims and, when `full`, Cont_full(outer,
+  /// ids[i]) for every counts[i] == num_dims, and returns how many it
+  /// reported (cubeMasking's funnel adds that up as relationships emitted).
+  /// The default makes the per-relationship calls below, in candidate
+  /// order, with degree `degree[counts[i]]` and mask `dim_masks[i]` (0
+  /// without the map), so a sink that overrides only those sees exactly
+  /// what a per-relationship kernel would report.
+  virtual std::size_t OnContainmentChunk(const ContainmentChunk& chunk);
 
   /// Cont_full(a, b): a fully contains b.
   virtual void OnFullContainment(ObsId a, ObsId b) = 0;

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
+#include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -93,35 +94,6 @@ void CountObservations(std::size_t n) {
 
 // --- Freezing ----------------------------------------------------------------
 
-// Append-only buffer in fixed-size blocks: growth never copies what is
-// already collected, so a build's transient peak is the entries themselves.
-// std::deque grows the same way but in 512-byte blocks, which measured a
-// higher and less steady peak RSS (DESIGN.md §6).
-template <typename T>
-class BlockBuffer {
- public:
-  void Push(const T& entry) {
-    if (blocks_.empty() || blocks_.back().size() == kBlock) {
-      blocks_.emplace_back();
-      blocks_.back().reserve(kBlock);
-    }
-    blocks_.back().push_back(entry);
-  }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const std::vector<T>& block : blocks_) {
-      for (const T& entry : block) fn(entry);
-    }
-  }
-
-  void Release() { std::vector<std::vector<T>>().swap(blocks_); }
-
- private:
-  static constexpr std::size_t kBlock = std::size_t{1} << 14;
-  std::vector<std::vector<T>> blocks_;
-};
-
 struct PairEntry {
   qb::ObsId a;
   qb::ObsId b;
@@ -131,33 +103,6 @@ struct PartialEntry {
   qb::ObsId a;
   qb::ObsId b;
   uint32_t count;  // containing dimensions
-};
-
-uint32_t CountOf(const PairEntry&) { return 0; }
-uint32_t CountOf(const PartialEntry& e) { return e.count; }
-
-// Relationships as cubeMasking produces them, in any order, at most 12
-// bytes each (CollectingSink's partial records take 24).
-struct Emissions : public RelationshipSink {
-  explicit Emissions(std::size_t num_dims)
-      : dims(static_cast<double>(num_dims)) {}
-
-  void OnFullContainment(qb::ObsId a, qb::ObsId b) override {
-    full.Push({a, b});
-  }
-  void OnPartialContainment(qb::ObsId a, qb::ObsId b, double degree,
-                            uint64_t /*dim_mask*/) override {
-    // The kernel's degree is count / dims exactly; rounding recovers count.
-    partial.Push({a, b, static_cast<uint32_t>(std::lround(degree * dims))});
-  }
-  void OnComplementarity(qb::ObsId a, qb::ObsId b) override {
-    compl_upper.Push({a, b});
-  }
-
-  double dims;
-  BlockBuffer<PairEntry> full;
-  BlockBuffer<PartialEntry> partial;
-  BlockBuffer<PairEntry> compl_upper;  // a < b
 };
 
 uint64_t RowLength(const Rows& rows, std::size_t r) {
@@ -219,17 +164,226 @@ Rows Transpose(const Rows& in, std::size_t n) {
   });
 }
 
-// Freezes emissions given in any order: group them by partner, then
-// transpose, so every row comes out ascending (two counting-sort passes,
-// O(n + m)). The buffer is released between the passes to bound the peak.
+// Storage that grows in blocks: each Take hands out consecutive entries
+// that never move, so growth never copies what is already written.
 template <typename T>
-Rows Freeze(std::size_t n, bool with_counts, BlockBuffer<T>* entries) {
-  Rows by_partner = Scatter(n, Rows{}, with_counts, [&](auto&& place) {
-    entries->ForEach([&](const T& e) { place(e.b, e.a, CountOf(e)); });
-  });
-  entries->Release();
-  return Transpose(by_partner, n);
-}
+class Blocks {
+ public:
+  RDFCUBE_HOT T* Take(std::size_t len) {
+    if (len > room_) Grow(len);
+    T* const out = next_;
+    next_ += len;
+    room_ -= len;
+    return out;
+  }
+
+  void Release() {
+    std::vector<std::unique_ptr<T[]>>().swap(blocks_);
+    next_ = nullptr;
+    room_ = 0;
+  }
+
+ private:
+  // A block holds kBlock entries, or one longer request. It is left
+  // uninitialized: every entry handed out gets written.
+  RDFCUBE_COLD void Grow(std::size_t len) {
+    const std::size_t size = std::max(kBlock, len);
+    blocks_.push_back(std::make_unique_for_overwrite<T[]>(size));
+    next_ = blocks_.back().get();
+    room_ = size;
+  }
+
+  static constexpr std::size_t kBlock = std::size_t{1} << 16;
+  std::vector<std::unique_ptr<T[]>> blocks_;
+  T* next_ = nullptr;
+  std::size_t room_ = 0;
+};
+
+// Build's row writer (DESIGN.md §6). cubeMasking reports each container's
+// containments in one stretch, so the writer holds one open row: it marks
+// the row's partners in a count array and a bitmap over the observations,
+// and when the container changes appends the row's full and partial
+// partners, ascending, to block storage. Finish gathers the rows into
+// ObsId-ordered CSR. Complementarity pairs, few, are kept as they come.
+class RowWriter : public RelationshipSink {
+ public:
+  RDFCUBE_COLD RowWriter(std::size_t n, std::size_t num_dims)
+      : k_(static_cast<uint8_t>(num_dims)),
+        count_(n),
+        bits_((n + 63) / 64, 0),
+        written_(n, 0),
+        full_(n),
+        partial_(n) {}
+
+  RDFCUBE_HOT std::size_t OnContainmentChunk(
+      const ContainmentChunk& chunk) override {
+    Open(chunk.outer);
+    // Locals: the byte stores below may alias any member, so members would
+    // be reloaded after each one.
+    const qb::ObsId* const ids = chunk.ids;
+    const uint8_t* const counts = chunk.counts;
+    const std::size_t size = chunk.size;
+    const bool full = chunk.full;
+    const uint8_t k = k_;
+    uint8_t* const count = count_.data();
+    uint64_t* const bits = bits_.data();
+    std::size_t marks = 0;
+    std::size_t full_marks = 0;
+    for (std::size_t i = 0; i < size; ++i) {
+      const uint8_t c = counts[i];
+      if (c == k ? !full : c == 0) continue;
+      const qb::ObsId b = ids[i];
+      count[b] = c;
+      bits[b >> 6] |= uint64_t{1} << (b & 63);
+      ++marks;
+      full_marks += c == k ? 1 : 0;
+    }
+    marks_ += marks;
+    full_marks_ += full_marks;
+    return marks;
+  }
+
+  // Full-only passes report one relationship at a time.
+  RDFCUBE_HOT void OnFullContainment(qb::ObsId a, qb::ObsId b) override {
+    Open(a);
+    count_[b] = k_;
+    bits_[b >> 6] |= uint64_t{1} << (b & 63);
+    ++marks_;
+    ++full_marks_;
+  }
+
+  // The counting kernel reports partial containment in chunks only.
+  void OnPartialContainment(qb::ObsId, qb::ObsId, double, uint64_t) override {
+    Fail("partial containment reported outside a chunk");
+  }
+
+  void OnComplementarity(qb::ObsId a, qb::ObsId b) override {
+    compl_upper_.push_back({a, b});
+  }
+
+  // Writes the open row, then gathers each row set into CSR, releasing its
+  // block storage once gathered. Internal when a container's
+  // containments arrived in two stretches or a partner came twice.
+  RDFCUBE_COLD Status Finish(Rows* full, Rows* partial) {
+    Close();
+    RDFCUBE_RETURN_IF_ERROR(status_);
+    *full = Gather(full_, false);
+    full_ids_.Release();
+    *partial = Gather(partial_, true);
+    partial_ids_.Release();
+    partial_counts_.Release();
+    return Status::OK();
+  }
+
+  // Complementarity as reported: a < b, in any order.
+  const std::vector<PairEntry>& compl_upper() const { return compl_upper_; }
+
+ private:
+  // Where one written row lives in block storage.
+  struct RowRef {
+    const qb::ObsId* ids = nullptr;
+    const uint8_t* counts = nullptr;
+    std::size_t size = 0;
+  };
+
+  static constexpr qb::ObsId kNoRow = std::numeric_limits<qb::ObsId>::max();
+
+  RDFCUBE_HOT void Open(qb::ObsId a) {
+    if (a == row_) return;
+    Close();
+    if (written_[a] != 0) Fail("a container's row reappeared after it ended");
+    written_[a] = 1;
+    row_ = a;
+  }
+
+  // Appends the open row's partners in ascending order and clears its
+  // bits: one walk over the whole bitmap (n / 64 words) when the row has
+  // any. Each stream's marks bound its partners, so the storage taken for
+  // them cannot overflow; fewer partners than marks means one was
+  // reported twice.
+  RDFCUBE_HOT void Close() {
+    if (row_ == kNoRow) return;
+    const std::size_t num_full = full_marks_;
+    const std::size_t num_partial = marks_ - full_marks_;
+    qb::ObsId* const full_ids = full_ids_.Take(num_full);
+    qb::ObsId* const partial_ids = partial_ids_.Take(num_partial);
+    uint8_t* const partial_counts = partial_counts_.Take(num_partial);
+    const uint8_t k = k_;
+    const uint8_t* const count = count_.data();
+    uint64_t* const words = bits_.data();
+    const std::size_t num_words = marks_ == 0 ? 0 : bits_.size();
+    std::size_t f = 0;
+    std::size_t p = 0;
+    for (std::size_t w = 0; w < num_words; ++w) {
+      uint64_t bits = words[w];
+      words[w] = 0;
+      while (bits != 0) {
+        const qb::ObsId b =
+            static_cast<qb::ObsId>(w * 64 + std::countr_zero(bits));
+        bits &= bits - 1;
+        const uint8_t c = count[b];
+        if (c == k) {
+          full_ids[f++] = b;
+        } else {
+          partial_ids[p] = b;
+          partial_counts[p++] = c;
+        }
+      }
+    }
+    if (f != num_full || p != num_partial) Fail("a partner reported twice");
+    full_[row_] = {full_ids, nullptr, f};
+    partial_[row_] = {partial_ids, partial_counts, p};
+    row_ = kNoRow;
+    marks_ = 0;
+    full_marks_ = 0;
+  }
+
+  RDFCUBE_COLD void Fail(const char* what) {
+    if (status_.ok()) {
+      status_ = Status::Internal(std::string("snapshot build: ") + what);
+    }
+  }
+
+  // Row r of the result is the row written for observation r (empty when
+  // none was).
+  RDFCUBE_COLD static Rows Gather(const std::vector<RowRef>& rows,
+                                  bool with_counts) {
+    uint64_t total = 0;
+    for (const RowRef& row : rows) total += row.size;
+    Rows out;
+    out.offsets.reserve(rows.size() + 1);
+    out.offsets.push_back(0);
+    out.ids.reserve(total);
+    if (with_counts) out.counts.reserve(total);
+    for (const RowRef& row : rows) {
+      out.ids.insert(out.ids.end(), row.ids, row.ids + row.size);
+      if (with_counts) {
+        out.counts.insert(out.counts.end(), row.counts,
+                          row.counts + row.size);
+      }
+      out.offsets.push_back(out.ids.size());
+    }
+    return out;
+  }
+
+  const uint8_t k_;
+  // The open row: its container, each marked partner's count (k_ for full
+  // containment) and bit, and how many marks it has, full ones apart.
+  qb::ObsId row_ = kNoRow;
+  std::vector<uint8_t> count_;
+  std::vector<uint64_t> bits_;
+  std::size_t marks_ = 0;
+  std::size_t full_marks_ = 0;
+  // Written rows, by container.
+  std::vector<uint8_t> written_;
+  std::vector<RowRef> full_;
+  std::vector<RowRef> partial_;
+  Blocks<qb::ObsId> full_ids_;
+  Blocks<qb::ObsId> partial_ids_;
+  Blocks<uint8_t> partial_counts_;
+  std::vector<PairEntry> compl_upper_;
+  Status status_;
+};
 
 // The rows Build derives instead of storing: containers are the transpose
 // of full containment, and complement rows hold both directions (the
@@ -428,18 +582,23 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
     RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(i));
   }
 
-  Emissions emissions(observations.space().num_dimensions());
+  // The default fused pass reports each container's containments in one
+  // stretch, which the writer needs.
+  RowWriter writer(n, observations.space().num_dimensions());
   CubeMaskingOptions masking;
   masking.selector = options.selector;
   masking.selector.partial_dimension_map = false;  // rows keep no masks
   masking.deadline = options.deadline;
-  RDFCUBE_RETURN_IF_ERROR(RunCubeMasking(observations, masking, &emissions));
+  RDFCUBE_RETURN_IF_ERROR(RunCubeMasking(observations, masking, &writer));
   {
-    obs::TraceSpan freeze("core/snapshot_freeze");
-    snap->full_ = Freeze(n, false, &emissions.full);
-    snap->partial_ = Freeze(n, true, &emissions.partial);
-    const Rows compl_upper = Freeze(n, false, &emissions.compl_upper);
-    DeriveRows(n, snap->full_, compl_upper, &snap->containers_,
+    obs::TraceSpan gather("core/snapshot_gather");
+    RDFCUBE_RETURN_IF_ERROR(writer.Finish(&snap->full_, &snap->partial_));
+    // Complementarity pairs come in any order: group them by partner, then
+    // transpose, so every row comes out ascending.
+    const Rows by_partner = Scatter(n, Rows{}, false, [&](auto&& place) {
+      for (const PairEntry& e : writer.compl_upper()) place(e.b, e.a, 0u);
+    });
+    DeriveRows(n, snap->full_, Transpose(by_partner, n), &snap->containers_,
                &snap->compl_);
   }
   snap->fingerprint_ = FingerprintObservations(observations);

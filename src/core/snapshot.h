@@ -84,7 +84,7 @@ class RelationshipSnapshot {
     RelationshipSelector selector = RelationshipSelector::All();
     /// Cooperative build deadline; expiry fails the build with TimedOut.
     /// Build checks it on entry and inside the masking kernel (every few
-    /// thousand pairs), not while freezing the rows; BuildIncremental
+    /// thousand pairs), not while gathering the rows; BuildIncremental
     /// checks it once per appended observation.
     Deadline deadline;
     /// Monotonic publication version stamped on the snapshot (the server's
@@ -106,11 +106,14 @@ class RelationshipSnapshot {
     bool operator==(const Rows& other) const = default;
   };
 
-  /// \brief Builds a snapshot from scratch: one cubeMasking run whose
-  /// emissions are counting-sorted into the frozen rows. Fails with
+  /// \brief Builds a snapshot from the corpus alone. One cubeMasking run,
+  /// whose fused pass reports each observation's containments in one
+  /// stretch, writes each full and partial row as its stretch ends,
+  /// partners ascending; one pass then gathers the rows into CSR. Fails with
   /// InvalidArgument on an empty corpus handle, TimedOut when the deadline
   /// expires (also when it already has on entry), Internal when
-  /// kFaultSnapshotBuild fires.
+  /// kFaultSnapshotBuild fires or when an observation's containments
+  /// arrive in two stretches (a row is never written wrong).
   static Result<Ptr> Build(qb::Corpus corpus, const BuildOptions& options);
 
   /// \brief Copy-on-write refresh: `corpus` must extend the base snapshot's
@@ -207,7 +210,7 @@ class RelationshipSnapshot {
   [[nodiscard]] Status SaveTo(const std::string& path) const;
 
   /// Loads a snapshot written by SaveTo: a validated copy of the stored
-  /// rows, with the derived rows rebuilt by Build's own freeze. IOError
+  /// rows, with the derived rows rebuilt as Build derives them. IOError
   /// when unreadable, ParseError on corruption (bad magic or format
   /// version, truncation, out-of-range lengths, rows that are not strictly
   /// ascending or name an id outside the corpus, degrees outside (0, 1),

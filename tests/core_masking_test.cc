@@ -621,6 +621,124 @@ TEST(CubeMaskingFunnelTest, DeadlineIsReadEvery4096PairsInsideACube) {
   }
 }
 
+// --- Emission contract ------------------------------------------------------------
+// Within one containment pass, each container's containments reach the sink
+// in one uninterrupted stretch (core/relationship.h); RelationshipSnapshot::
+// Build writes its rows on that promise.
+
+// Records every relationship in arrival order, as (kind, a, b, degree bits,
+// mask), through the default chunk forwarding, and checks that no chunk
+// holds its own outer observation.
+class OrderSink : public RelationshipSink {
+ public:
+  using Record = std::tuple<char, qb::ObsId, qb::ObsId, uint64_t, uint64_t>;
+
+  std::size_t OnContainmentChunk(const ContainmentChunk& chunk) override {
+    for (std::size_t i = 0; i < chunk.size; ++i) {
+      EXPECT_NE(chunk.ids[i], chunk.outer);
+    }
+    return RelationshipSink::OnContainmentChunk(chunk);
+  }
+  void OnFullContainment(qb::ObsId a, qb::ObsId b) override {
+    records.emplace_back('F', a, b, 0, 0);
+  }
+  void OnPartialContainment(qb::ObsId a, qb::ObsId b, double degree,
+                            uint64_t dim_mask) override {
+    records.emplace_back('P', a, b, std::bit_cast<uint64_t>(degree),
+                         dim_mask);
+  }
+  void OnComplementarity(qb::ObsId a, qb::ObsId b) override {
+    records.emplace_back('C', a, b, 0, 0);
+  }
+
+  std::vector<Record> records;
+};
+
+// The containers whose containments resume after another container's
+// began, and how many stretches there were.
+std::pair<std::set<qb::ObsId>, std::size_t> SplitContainers(
+    const std::vector<OrderSink::Record>& records) {
+  std::set<qb::ObsId> closed;
+  std::set<qb::ObsId> split;
+  std::size_t stretches = 0;
+  qb::ObsId current = 0;
+  for (const OrderSink::Record& r : records) {
+    if (std::get<0>(r) == 'C') continue;
+    const qb::ObsId a = std::get<1>(r);
+    if (stretches > 0 && a == current) continue;
+    if (stretches > 0) closed.insert(current);
+    if (closed.count(a) != 0) split.insert(a);
+    current = a;
+    ++stretches;
+  }
+  return {split, stretches};
+}
+
+// The exact oracle's corpora, by name.
+std::vector<std::pair<std::string, qb::Corpus>> EmissionCorpora() {
+  std::vector<std::pair<std::string, qb::Corpus>> out;
+  for (uint64_t seed = 1; seed < 9; ++seed) {
+    out.emplace_back("random/" + std::to_string(seed),
+                     RandomOracleCorpus(seed));
+    out.emplace_back("duplicates/" + std::to_string(seed),
+                     MakeDuplicateCoordinateCorpus(seed));
+  }
+  out.emplace_back("64 dimensions", MakeWideCorpus(3));
+  out.emplace_back("deep chain", MakeDeepChainCorpus());
+  out.emplace_back("all root", MakeAllRootCorpus());
+  out.emplace_back("empty", MakeAllRootCorpus(0));
+  out.emplace_back("single", MakeAllRootCorpus(1));
+  return out;
+}
+
+TEST(CubeMaskingEmissionTest, EachContainerIsOneStretch) {
+  RelationshipSelector all_map;
+  all_map.partial_dimension_map = true;
+  RelationshipSelector partial_map = RelationshipSelector::PartialOnly();
+  partial_map.partial_dimension_map = true;
+  const RelationshipSelector selectors[] = {
+      RelationshipSelector::All(), all_map, RelationshipSelector::FullOnly(),
+      RelationshipSelector::PartialOnly(), partial_map};
+  std::size_t most_stretches = 0;
+  for (const auto& [name, corpus] : EmissionCorpora()) {
+    const qb::ObservationSet& obs = *corpus.observations;
+    const Lattice lattice(obs);
+    const MemberTable table(obs, lattice);
+    const CubeId c = static_cast<CubeId>(lattice.num_cubes());
+    for (const RelationshipSelector& sel : selectors) {
+      const std::string what =
+          name + " selector " + std::to_string(SelectorBits(sel));
+      CubeMaskingOptions options;
+      options.selector = sel;
+      OrderSink whole;
+      CubeMaskingStats stats;
+      ASSERT_TRUE(RunCubeMasking(obs, options, &whole, &stats).ok()) << what;
+      // The funnel adds up what the sink's chunk calls report.
+      EXPECT_EQ(stats.relationships_emitted, whole.records.size()) << what;
+      const auto [split, stretches] = SplitContainers(whole.records);
+      EXPECT_TRUE(split.empty())
+          << what << ": " << split.size() << " containers in two stretches";
+      most_stretches = std::max(most_stretches, stretches);
+      // Split outer ranges, run one after another into one sink, emit
+      // exactly what one range over every cube emits.
+      OrderSink one_range;
+      ASSERT_TRUE(RunCubeMaskingOuterRange(obs, lattice, table, options, 0, c,
+                                           &one_range)
+                      .ok());
+      OrderSink ranges;
+      for (CubeId begin = 0; begin < c; begin += 3) {
+        const CubeId end = std::min<CubeId>(begin + 3, c);
+        ASSERT_TRUE(RunCubeMaskingOuterRange(obs, lattice, table, options,
+                                             begin, end, &ranges)
+                        .ok());
+      }
+      EXPECT_EQ(ranges.records, one_range.records) << what;
+      EXPECT_TRUE(SplitContainers(ranges.records).first.empty()) << what;
+    }
+  }
+  EXPECT_GE(most_stretches, 40u);
+}
+
 TEST(CubeMaskingOuterRangeTest, RejectsATableOfAnotherLattice) {
   qb::Corpus a = MakeRandomCorpus(2, 30);
   qb::Corpus b = MakeAllRootCorpus(5);

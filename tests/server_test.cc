@@ -40,6 +40,7 @@
 #include "core/explorer.h"
 #include "core/relationship.h"
 #include "core/snapshot.h"
+#include "datagen/realworld.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "qb/binary_io.h"
@@ -770,10 +771,13 @@ std::vector<RelKey> KeysOf(const std::vector<ScanRecord>& records) {
 }
 
 // Method::kBaseline's relationships (the brute-force oracle), in scan order.
-std::vector<RelKey> BaselineKeys(const qb::ObservationSet& obs) {
+std::vector<RelKey> BaselineKeys(
+    const qb::ObservationSet& obs,
+    const core::RelationshipSelector& sel = core::RelationshipSelector::All()) {
   core::CollectingSink sink;
   core::EngineOptions options;
   options.method = core::Method::kBaseline;
+  options.selector = sel;
   EXPECT_TRUE(core::ComputeRelationships(obs, options, &sink).ok());
   std::vector<RelKey> keys;
   for (const auto& [a, b] : sink.full()) keys.emplace_back('F', a, b, 0);
@@ -926,6 +930,69 @@ TEST(SnapshotPagingTest, CursorResumesStrictlyAfterAnyKey) {
     ASSERT_TRUE(snap->ScanPage(end, 10, Deadline(), &page, &more).ok());
     EXPECT_TRUE(page.empty());
     EXPECT_FALSE(more);
+  }
+}
+
+// Build on the benchmark's shape: a realworld prefix whose partial rows
+// span several 64-bit bitmap words and whose counts reach dimensions - 1.
+// Under every single-type selector and all of them, the scan equals the
+// baseline's relationships and the rows equal a refresh's from an empty
+// base, which writes them by another route (the pair kernel's row forms).
+TEST(SnapshotTest, BuildMatchesBaselineAndRefreshOnARealWorldCorpus) {
+  Result<qb::Corpus> made = datagen::GenerateRealWorldPrefix(1200, 5);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  const qb::Corpus& whole = made.value();
+  const std::size_t n = whole.observations->size();
+  const std::size_t dims = whole.space->num_dimensions();
+  ASSERT_GE(n, 1000u);
+  for (const core::RelationshipSelector& sel :
+       {core::RelationshipSelector::All(),
+        core::RelationshipSelector::FullOnly(),
+        core::RelationshipSelector::PartialOnly(),
+        core::RelationshipSelector::ComplOnly()}) {
+    const std::string what =
+        "selector " + std::to_string(core::SelectorBits(sel));
+    RelationshipSnapshot::BuildOptions options;
+    options.selector = sel;
+    const uint64_t emitted =
+        GlobalCounterValue("rdfcube_masking_relationships_emitted_total");
+    auto built = RelationshipSnapshot::Build(PrefixOf(whole, n), options);
+    ASSERT_TRUE(built.ok()) << what << ": " << built.status().ToString();
+    // The row writer's chunk counts add up to what the rows hold.
+    EXPECT_EQ(
+        GlobalCounterValue("rdfcube_masking_relationships_emitted_total") -
+            emitted,
+        (*built)->num_full() + (*built)->num_partial() +
+            (*built)->num_complementary())
+        << what;
+    RecordSink sink;
+    ASSERT_TRUE((*built)->ScanAll(&sink, Deadline()).ok());
+    EXPECT_EQ(KeysOf(sink.records), BaselineKeys(*whole.observations, sel))
+        << what;
+    auto empty = RelationshipSnapshot::Build(PrefixOf(whole, 0), options);
+    ASSERT_TRUE(empty.ok()) << what << ": " << empty.status().ToString();
+    auto refreshed =
+        RelationshipSnapshot::BuildIncremental(**empty, PrefixOf(whole, n), {});
+    ASSERT_TRUE(refreshed.ok()) << what << ": "
+                                << refreshed.status().ToString();
+    EXPECT_TRUE((*refreshed)->SameRelationships(**built)) << what;
+    if (!sel.partial_containment) continue;
+    // The shape the row writer must handle.
+    std::size_t widest = 0;
+    bool top_count = false;
+    for (ObsId id = 0; id < n; ++id) {
+      auto partial = (*built)->PartiallyContained(id, 0.0, Deadline());
+      ASSERT_TRUE(partial.ok());
+      if (partial->empty()) continue;
+      widest = std::max<std::size_t>(
+          widest, partial->back().other / 64 - partial->front().other / 64);
+      for (const core::PartialMatch& m : partial.value()) {
+        top_count = top_count || m.degree == static_cast<double>(dims - 1) /
+                                                 static_cast<double>(dims);
+      }
+    }
+    EXPECT_GE(widest, 4u) << what;
+    EXPECT_TRUE(top_count) << what;
   }
 }
 
