@@ -181,11 +181,8 @@ WorkloadResult RunWorkload(
 }
 
 void RunServe() {
-  // The default size sends 120,000 point and 4,000 scan requests, about
-  // 1.7 s of traffic on a 4-vCPU guest, so one busy moment of the host
-  // barely moves the percentiles.
-  std::size_t n = 2000, point_threads = 4, point_per_thread = 30000;
-  std::size_t scan_threads = 2, scan_per_thread = 2000;
+  std::size_t n = 2000, point_threads = 4, point_per_thread = 1500;
+  std::size_t scan_threads = 2, scan_per_thread = 100;
   uint32_t scan_limit = 2000;
   if (benchutil::LargeMode()) {
     n = 20000;

@@ -177,11 +177,6 @@ if report["name"] == "serve":
     if stats["build.relationships"] != emitted:
         sys.exit(f"FAIL: build.relationships {stats['build.relationships']} "
                  f"!= rdfcube_masking_relationships_emitted_total {emitted}")
-    per_rel = stats["build.ms"] * 1e6 / stats["build.relationships"]
-    if abs(stats["build.ns_per_relationship"] - per_rel) > 1e-6 * per_rel:
-        sys.exit(f"FAIL: build.ns_per_relationship "
-                 f"{stats['build.ns_per_relationship']} is not build.ms per "
-                 f"relationship ({per_rel})")
     if not any(s["name"] == "serve/build" for s in report["span_rollup"]):
         sys.exit("FAIL: serve span_rollup missing serve/build")
 

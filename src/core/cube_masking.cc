@@ -87,7 +87,9 @@ struct Run {
         outer(kd),
         degree(kd + 1, 0.0),
         counts(kDeadlineStride),
-        dim_masks(want_mask ? kDeadlineStride : 0) {
+        dim_masks(want_mask ? kDeadlineStride : 0),
+        survivors(options_in.selector.full_containment ? kDeadlineStride
+                                                       : 0) {
     // Partial degree is count / kd, from the same expression as the
     // baseline's, so the emitted doubles are bit-identical.
     for (std::size_t count = 1; count <= kd; ++count) {
@@ -126,6 +128,8 @@ struct Run {
   // dimension map.
   std::vector<uint8_t> counts;
   std::vector<uint64_t> dim_masks;
+  // Full-only passes: the chunk offsets the first tested dimension keeps.
+  std::vector<uint32_t> survivors;
 
   // Counts `steps` (checked cube pairs, covered observation pairs) toward
   // the deadline cadence and says whether the deadline has passed. The
@@ -265,19 +269,36 @@ struct Run {
     return chunk.size == 0 ? 0 : sink->OnContainmentChunk(chunk);
   }
 
-  // Full containment only: each pair stops at its first failing dimension.
+  // Full containment only. A branch-free pass over the first tested column
+  // keeps the rows it encloses (all of them when nothing is tested), then
+  // each kept row stops at its first failing dimension. An early exit on
+  // every row took 1.4-2.6x as long on fig5e's corpora.
   RDFCUBE_HOT std::size_t FullRows(uint32_t ra, uint32_t lo, uint32_t hi) {
     RelationshipSink* const out = sink;
     const DimLabel* const a = outer.data();
     const uint32_t* const* const cols = columns.data();
     const std::size_t n = num_tested;
+    const std::size_t len = hi - lo;
+    uint32_t* const kept = survivors.data();
+    std::size_t m = 0;
+    if (n == 0) {
+      for (; m < len; ++m) kept[m] = static_cast<uint32_t>(m);
+    } else {
+      const DimLabel a0 = a[0];  // kept's stores could alias a[0]
+      const uint32_t* const first = cols[0] + lo;
+      for (std::size_t i = 0; i < len; ++i) {
+        kept[m] = static_cast<uint32_t>(i);
+        m += EnclosesPre(a0, first[i]) ? 1 : 0;
+      }
+    }
     const qb::ObsId id_a = table.id(ra);
     std::size_t emitted = 0;
-    for (uint32_t rb = lo; rb < hi; ++rb) {
+    for (std::size_t s = 0; s < m; ++s) {
+      const uint32_t rb = lo + kept[s];
       if (rb == ra) continue;
-      std::size_t t = 0;
+      std::size_t t = 1;  // the first pass tested t = 0 (n may be 0)
       while (t < n && EnclosesPre(a[t], cols[t][rb])) ++t;
-      if (t == n) {
+      if (t >= n) {
         ++emitted;
         out->OnFullContainment(id_a, table.id(rb));
       }

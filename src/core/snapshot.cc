@@ -582,13 +582,15 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
     RDFCUBE_RETURN_IF_ERROR(CheckBuildFault(i));
   }
 
-  // The default fused pass reports each container's containments in one
-  // stretch, which the writer needs.
   RowWriter writer(n, observations.space().num_dimensions());
   CubeMaskingOptions masking;
   masking.selector = options.selector;
   masking.selector.partial_dimension_map = false;  // rows keep no masks
   masking.deadline = options.deadline;
+  // The writer needs each container's containments in one stretch, which
+  // only the fused pass gives when full and partial are both selected: the
+  // per-type passes would report every container once per type.
+  masking.prefetch_children = true;
   RDFCUBE_RETURN_IF_ERROR(RunCubeMasking(observations, masking, &writer));
   {
     obs::TraceSpan gather("core/snapshot_gather");
