@@ -60,10 +60,10 @@ void FlushMaskingCounters(const CubeMaskingStats& before,
 
 // Shared state of one run. Every pass walks outer cubes. For outer cube j
 // it marks the inner cubes comparable to j (the §3.3 lattice pruning,
-// counted in the funnel), then merges the marked cubes' groups of every
-// mask run that shares a measure with one of j's groups (Def. 4 condition
-// 3) into maximal row ranges (segments). Each of j's rows is then walked
-// over every segment whose run shares a measure with the row's group, one
+// counted in the funnel), then merges the marked cubes' groups that share
+// a measure with one of j's groups (Def. 4 condition 3) into maximal row
+// ranges (segments), run by run. Each of j's rows is then walked over the
+// segments of every run that shares a measure with the row's group, one
 // chunk of at most kDeadlineStride rows at a time, so an outer row's
 // containments reach the sink in one stretch. Every buffer is sized here,
 // once.
@@ -81,7 +81,10 @@ struct Run {
         kd(table_in.num_dims()),
         want_mask(options_in.selector.partial_dimension_map),
         comparable(lattice_in.num_cubes(), 0),
+        marked(lattice_in.num_cubes()),
         segments(table_in.num_groups()),
+        run_segments(table_in.runs().size(), 0),
+        active_runs(table_in.runs().size()),
         tested(kd),
         columns(kd),
         outer(kd),
@@ -97,11 +100,10 @@ struct Run {
     }
   }
 
-  // A row range [begin, end) of one mask run, and the run's measures.
+  // A row range [begin, end) of one mask run.
   struct Segment {
     uint32_t begin;
     uint32_t end;
-    uint64_t measure_mask;
   };
 
   const MemberTable& table;
@@ -114,7 +116,15 @@ struct Run {
   const bool want_mask;
   std::size_t deadline_steps = 0;
   std::vector<uint8_t> comparable;  // per inner cube, for the outer cube
-  std::vector<Segment> segments;    // at most one per member-table group
+  std::vector<CubeId> marked;       // the comparable cubes, ascending
+  std::size_t num_marked = 0;
+  // Run r's segments are the run_segments[r] entries from
+  // segments[runs()[r].first_group] (a run holds at most one per group).
+  // active_runs lists the runs holding any, for the outer cube.
+  std::vector<Segment> segments;
+  std::vector<uint32_t> run_segments;
+  std::vector<uint32_t> active_runs;
+  std::size_t num_active = 0;
   // The outer cube's non-root dimensions and their pre columns (its root
   // dimensions contain every value, so they are counted without a test).
   std::vector<qb::DimId> tested;
@@ -158,6 +168,7 @@ struct Run {
   // members but the self pairs, evaluated or skipped).
   RDFCUBE_HOT Status MarkComparable(CubeId j, bool all_required) {
     std::size_t inner_members = 0;
+    num_marked = 0;
     if (children != nullptr) {
       std::fill(comparable.begin(), comparable.end(), 0);
       for (CubeId k : all_required ? children->all_dominated(j)
@@ -165,6 +176,7 @@ struct Run {
         ++stats->cube_pairs_comparable;
         if (DeadlinePassed(1)) return DeadlineExceeded();
         comparable[k] = 1;
+        marked[num_marked++] = k;
         inner_members += table.cube_size(k);
       }
     } else {
@@ -173,11 +185,12 @@ struct Run {
         ++stats->cube_pairs_checked;
         if (DeadlinePassed(1)) return DeadlineExceeded();
         const CubeSignature& sk = lattice.signature(k);
-        const bool marked =
+        const bool dominated =
             all_required ? sj.DominatesAll(sk) : sj.DominatesAny(sk);
-        comparable[k] = marked ? 1 : 0;
-        if (!marked) continue;
+        comparable[k] = dominated ? 1 : 0;
+        if (!dominated) continue;
         ++stats->cube_pairs_comparable;
+        marked[num_marked++] = k;
         inner_members += table.cube_size(k);
       }
     }
@@ -210,22 +223,33 @@ struct Run {
     }
   }
 
-  // Appends the marked cubes' groups of `run` to segments [n, ...) as
-  // maximal row ranges: a group of an unmarked cube between two marked ones
-  // splits a range, and no range crosses into another run. Returns the new
-  // segment count.
-  RDFCUBE_HOT std::size_t MergeComparable(const MemberTable::MaskRun& run,
-                                          std::size_t n) {
-    const std::size_t first = n;
-    for (const MemberTable::Group& g : table.run_groups(run)) {
-      if (comparable[g.cube] == 0) continue;
-      if (n > first && segments[n - 1].end == g.begin) {
-        segments[n - 1].end = g.end;
-      } else {
-        segments[n++] = {g.begin, g.end, run.measure_mask};
+  // Merges the groups of the marked cubes that share a measure with
+  // `measures` into maximal row ranges, each into its run's segments: a
+  // group of an unmarked cube between two marked ones splits a range, and
+  // no range crosses into another run. The marked cubes ascend, and within
+  // a run so do their rows, so a group extends its run's last range exactly
+  // when it starts where that range ends. Only the marked cubes' groups are
+  // read.
+  RDFCUBE_HOT void MergeComparable(uint64_t measures) {
+    for (std::size_t i = 0; i < num_active; ++i) {
+      run_segments[active_runs[i]] = 0;
+    }
+    num_active = 0;
+    const std::span<const MemberTable::MaskRun> runs = table.runs();
+    for (std::size_t i = 0; i < num_marked; ++i) {
+      for (const MemberTable::Group& g : table.groups(marked[i])) {
+        if ((g.measure_mask & measures) == 0) continue;
+        Segment* const first = segments.data() + runs[g.run].first_group;
+        uint32_t& n = run_segments[g.run];
+        if (n == 0) {
+          active_runs[num_active++] = g.run;
+        } else if (first[n - 1].end == g.begin) {
+          first[n - 1].end = g.end;
+          continue;
+        }
+        first[n++] = {g.begin, g.end};
       }
     }
-    return n;
   }
 
   // Containment of outer row `ra` over rows [lo, hi), ra excluded: every
@@ -319,27 +343,27 @@ struct Run {
     for (const MemberTable::Group& g : outer_groups) {
       outer_measures |= g.measure_mask;
     }
-    std::size_t num_segments = 0;
-    for (const MemberTable::MaskRun& run : table.runs()) {
-      if ((run.measure_mask & outer_measures) != 0) {
-        num_segments = MergeComparable(run, num_segments);
-      }
-    }
+    MergeComparable(outer_measures);
+    const std::span<const MemberTable::MaskRun> runs = table.runs();
     for (const MemberTable::Group& g : outer_groups) {
       for (uint32_t ra = g.begin; ra < g.end; ++ra) {
         SetOuterRow(ra);
-        for (std::size_t s = 0; s < num_segments; ++s) {
-          if ((segments[s].measure_mask & g.measure_mask) == 0) continue;
-          const uint32_t end = segments[s].end;
-          for (uint32_t lo = segments[s].begin; lo < end;) {
-            const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
-                end, std::size_t{lo} + kDeadlineStride));
-            if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
-            stats->relationships_emitted +=
-                !count      ? FullRows(ra, lo, hi)
-                : want_mask ? CountRows<true>(ra, lo, hi, full)
-                            : CountRows<false>(ra, lo, hi, full);
-            lo = hi;
+        for (std::size_t i = 0; i < num_active; ++i) {
+          const uint32_t r = active_runs[i];
+          if ((runs[r].measure_mask & g.measure_mask) == 0) continue;
+          const Segment* const first = segments.data() + runs[r].first_group;
+          for (const Segment* s = first; s < first + run_segments[r]; ++s) {
+            const uint32_t end = s->end;
+            for (uint32_t lo = s->begin; lo < end;) {
+              const uint32_t hi = static_cast<uint32_t>(std::min<std::size_t>(
+                  end, std::size_t{lo} + kDeadlineStride));
+              if (DeadlinePassed(hi - lo)) return DeadlineExceeded();
+              stats->relationships_emitted +=
+                  !count      ? FullRows(ra, lo, hi)
+                  : want_mask ? CountRows<true>(ra, lo, hi, full)
+                              : CountRows<false>(ra, lo, hi, full);
+              lo = hi;
+            }
           }
         }
       }

@@ -153,11 +153,12 @@ RDFCUBE_COLD MemberTable::MemberTable(const qb::ObservationSet& obs,
   }
   run_groups_.reserve(num_groups);
   cube_group_offsets_.assign(c + 1, 0);
-  for (MaskRun& run : runs_) {
+  for (uint32_t r = 0; r < runs_.size(); ++r) {
+    MaskRun& run = runs_[r];
     run.first_group = static_cast<uint32_t>(run_groups_.size());
     for (uint32_t row = run.begin; row < run.end; ++row) {
       if (starts_group(run, row)) {
-        run_groups_.push_back({row, row, run.measure_mask, row_cube[row]});
+        run_groups_.push_back({row, row, run.measure_mask, row_cube[row], r});
         ++cube_group_offsets_[row_cube[row] + 1];
       }
       ++run_groups_.back().end;

@@ -154,12 +154,14 @@ struct DimLabel {
 /// concurrent outer-cube ranges.
 class MemberTable {
  public:
-  /// Rows [begin, end) of cube `cube` whose members share `measure_mask`.
+  /// Rows [begin, end) of cube `cube` whose members share `measure_mask`,
+  /// which lie in runs()[run].
   struct Group {
     uint32_t begin;
     uint32_t end;
     uint64_t measure_mask;
     CubeId cube;
+    uint32_t run;
   };
 
   /// The rows [begin, end) of every member with `measure_mask`: the groups
