@@ -70,13 +70,8 @@ class TeeSink : public RelationshipSink {
 }  // namespace
 
 uint64_t FingerprintObservations(const qb::ObservationSet& obs) {
-  return FingerprintObservationsPrefix(obs,
-                                       static_cast<qb::ObsId>(obs.size()));
-}
-
-uint64_t FingerprintObservationsPrefix(const qb::ObservationSet& obs,
-                                       qb::ObsId n) {
   const qb::CubeSpace& space = obs.space();
+  const qb::ObsId n = static_cast<qb::ObsId>(obs.size());
   uint64_t h = kFnvOffset;
   Mix(&h, n);
   Mix(&h, space.num_dimensions());

@@ -81,13 +81,6 @@ struct MaskingCheckpoint {
 /// collision caveat).
 uint64_t FingerprintObservations(const qb::ObservationSet& obs);
 
-/// Fingerprint of the first `n` observations of `obs` (n <= obs.size()),
-/// byte-identical to FingerprintObservations over a set holding exactly those
-/// n observations. Lets an extended corpus prove it is a strict superset of a
-/// snapshot's corpus: the prefix fingerprint must equal the snapshot's.
-uint64_t FingerprintObservationsPrefix(const qb::ObservationSet& obs,
-                                       qb::ObsId n);
-
 /// Packs a selector into the low four bits (full, partial, compl, dim-map).
 uint32_t SelectorBits(const RelationshipSelector& selector);
 

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -30,6 +31,7 @@ namespace core {
 namespace {
 
 using Rows = RelationshipSnapshot::Rows;
+using RowSet = RelationshipSnapshot::RowSet;
 using snapshot::ByteReader;
 using snapshot::PutU32;
 using snapshot::PutU64;
@@ -105,19 +107,40 @@ struct PartialEntry {
   uint32_t count;  // containing dimensions
 };
 
-uint64_t RowLength(const Rows& rows, std::size_t r) {
-  return r + 1 < rows.offsets.size() ? rows.offsets[r + 1] - rows.offsets[r]
-                                     : 0;
+// One part of a row set (frozen rows or a tail) as the read paths take it:
+// raw pointers, hoisted out of row loops, and the rows it covers (rows past
+// them are empty).
+struct Part {
+  const uint64_t* offsets;
+  const qb::ObsId* ids;
+  const uint8_t* counts;  // null when the part carries none
+  std::size_t rows;
+
+  uint64_t begin(std::size_t r) const { return r < rows ? offsets[r] : 0; }
+  uint64_t end(std::size_t r) const { return r < rows ? offsets[r + 1] : 0; }
+  uint64_t size(std::size_t r) const { return end(r) - begin(r); }
+};
+
+Part PartOf(const Rows& rows) {
+  return {rows.offsets.data(), rows.ids.data(),
+          rows.counts.empty() ? nullptr : rows.counts.data(),
+          rows.offsets.empty() ? 0 : rows.offsets.size() - 1};
 }
 
-// Counting sort into CSR rows over `n` observations: row r is `prefix`'s
-// row r (empty past its end), then the entries for r, each output entry
-// written once. `for_each(place)` must call place(row, partner, count) once
-// per entry, identically on both of its calls (count, then place); each row
-// keeps its entries in call order. Rows come out ascending when every
-// row's entries do and exceed the row's prefix.
+// A row set's frozen rows, then its tail.
+std::array<Part, 2> PartsOf(const RowSet& set) {
+  return {PartOf(*set.frozen), PartOf(set.tail)};
+}
+
+// Counting sort into CSR rows over `n` observations: row r is the rows of
+// `prefix` at r, part after part (a part is empty past its rows), then the
+// entries for r, each output entry written once. `for_each(place)` must
+// call place(row, partner, count) once per entry, identically on both of
+// its calls (count, then place); each row keeps its entries in call order.
+// Rows come out ascending when every row's entries do and exceed the row's
+// prefix.
 template <typename ForEach>
-Rows Scatter(std::size_t n, const Rows& prefix, bool with_counts,
+Rows Scatter(std::size_t n, std::span<const Part> prefix, bool with_counts,
              ForEach&& for_each) {
   Rows out;
   out.offsets.assign(n + 1, 0);
@@ -125,20 +148,22 @@ Rows Scatter(std::size_t n, const Rows& prefix, bool with_counts,
     ++out.offsets[row + 1];
   });
   for (std::size_t r = 0; r < n; ++r) {
-    out.offsets[r + 1] += out.offsets[r] + RowLength(prefix, r);
+    uint64_t len = 0;
+    for (const Part& part : prefix) len += part.size(r);
+    out.offsets[r + 1] += out.offsets[r] + len;
   }
   out.ids.resize(out.offsets[n]);
   if (with_counts) out.counts.resize(out.offsets[n]);
-  std::vector<uint64_t> next(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const uint64_t len = RowLength(prefix, r);
-    next[r] = out.offsets[r] + len;
-    if (len == 0) continue;
-    const uint64_t from = prefix.offsets[r];
-    std::copy_n(prefix.ids.data() + from, len, out.ids.data() + out.offsets[r]);
-    if (with_counts) {
-      std::copy_n(prefix.counts.data() + from, len,
-                  out.counts.data() + out.offsets[r]);
+  std::vector<uint64_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  for (const Part& part : prefix) {
+    for (std::size_t r = 0; r < std::min(n, part.rows); ++r) {
+      const uint64_t from = part.offsets[r];
+      const uint64_t len = part.offsets[r + 1] - from;
+      std::copy_n(part.ids + from, len, out.ids.data() + next[r]);
+      if (with_counts) {
+        std::copy_n(part.counts + from, len, out.counts.data() + next[r]);
+      }
+      next[r] += len;
     }
   }
   for_each([&](qb::ObsId row, qb::ObsId partner, uint32_t count) {
@@ -154,7 +179,7 @@ Rows Scatter(std::size_t n, const Rows& prefix, bool with_counts,
 // build and load goes through.
 Rows Transpose(const Rows& in, std::size_t n) {
   const bool with_counts = !in.counts.empty();
-  return Scatter(n, Rows{}, with_counts, [&](auto&& place) {
+  return Scatter(n, {}, with_counts, [&](auto&& place) {
     for (std::size_t r = 0; r < n; ++r) {
       for (uint64_t pos = in.offsets[r]; pos < in.offsets[r + 1]; ++pos) {
         place(in.ids[pos], static_cast<qb::ObsId>(r),
@@ -162,6 +187,11 @@ Rows Transpose(const Rows& in, std::size_t n) {
       }
     }
   });
+}
+
+// A row set of flat frozen rows and no tail.
+RowSet Frozen(Rows rows) {
+  return {std::make_shared<const Rows>(std::move(rows)), Rows{}};
 }
 
 // Storage that grows in blocks: each Take hands out consecutive entries
@@ -394,15 +424,16 @@ RDFCUBE_TAINT_BARRIER void DeriveRows(std::size_t n, const Rows& full,
                                       const Rows& compl_upper,
                                       Rows* containers, Rows* complements) {
   *containers = Transpose(full, n);
-  *complements =
-      Scatter(n, Transpose(compl_upper, n), false, [&](auto&& place) {
-        for (std::size_t r = 0; r < n; ++r) {
-          for (uint64_t pos = compl_upper.offsets[r];
-               pos < compl_upper.offsets[r + 1]; ++pos) {
-            place(static_cast<qb::ObsId>(r), compl_upper.ids[pos], 0u);
-          }
-        }
-      });
+  const Rows lower = Transpose(compl_upper, n);
+  const Part prefix[] = {PartOf(lower)};
+  *complements = Scatter(n, prefix, false, [&](auto&& place) {
+    for (std::size_t r = 0; r < n; ++r) {
+      for (uint64_t pos = compl_upper.offsets[r];
+           pos < compl_upper.offsets[r + 1]; ++pos) {
+        place(static_cast<qb::ObsId>(r), compl_upper.ids[pos], 0u);
+      }
+    }
+  });
 }
 
 // The relationships of a refresh's delta pairs, in evaluation order:
@@ -421,18 +452,22 @@ Status EvaluateDelta(const qb::ObservationSet& observations,
                      const Deadline& deadline, Delta* delta) {
   const std::size_t n = observations.size();
   const std::size_t k = observations.space().num_dimensions();
+  std::vector<hierarchy::EulerLabels> euler;
+  euler.reserve(k);
+  for (qb::DimId d = 0; d < k; ++d) {
+    euler.push_back(observations.space().code_list(d).euler_labels());
+  }
+  // One observation at a time, so each row of labels is written in order.
   std::vector<DimLabel> labels(n * k);
   std::vector<uint64_t> masks(n);
-  for (qb::DimId d = 0; d < k; ++d) {
-    const hierarchy::CodeList& list = observations.space().code_list(d);
-    const hierarchy::EulerLabels euler = list.euler_labels();
-    for (qb::ObsId i = 0; i < n; ++i) {
-      const hierarchy::CodeId c = observations.obs(i).dims[d];
-      const hierarchy::CodeId code = c == hierarchy::kNoCode ? list.root() : c;
-      labels[std::size_t{i} * k + d] = {euler.pre[code], euler.post[code]};
+  for (qb::ObsId i = 0; i < n; ++i) {
+    DimLabel* row = labels.data() + std::size_t{i} * k;
+    for (qb::DimId d = 0; d < k; ++d) {
+      const hierarchy::CodeId code = observations.ValueOrRoot(i, d);
+      row[d] = {euler[d].pre[code], euler[d].post[code]};
     }
+    masks[i] = observations.obs(i).measure_mask;
   }
-  for (qb::ObsId i = 0; i < n; ++i) masks[i] = observations.obs(i).measure_mask;
 
   const DimPlan plan = AllDimsTested(k);
   const bool contain = sel.full_containment || sel.partial_containment;
@@ -465,33 +500,52 @@ Status EvaluateDelta(const qb::ObservationSet& observations,
   return Status::OK();
 }
 
-// Complement rows restricted to partners above their row (the stored form).
-Rows UpperHalf(const Rows& rows, std::size_t n) {
-  Rows out;
-  out.offsets.reserve(n + 1);
-  out.offsets.push_back(0);
-  out.ids.reserve(rows.ids.size() / 2);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (uint64_t pos = rows.offsets[r]; pos < rows.offsets[r + 1]; ++pos) {
-      if (rows.ids[pos] > r) out.ids.push_back(rows.ids[pos]);
-    }
-    out.offsets.push_back(out.ids.size());
-  }
-  return out;
-}
-
-// Stored form of one row set: entry count, n + 1 offsets, the ids, then one
-// count byte per entry when the rows carry counts.
-void PutRows(std::string* out, const Rows& rows) {
-  PutU64(out, rows.ids.size());
-  for (uint64_t offset : rows.offsets) PutU64(out, offset);
-  for (qb::ObsId id : rows.ids) PutU32(out, id);
-  for (uint8_t count : rows.counts) PutU8(out, count);
-}
-
 // How a stored row set is shaped: plain pairs, pairs above their row
 // (complementarity, a < b), or pairs with a containment count per entry.
 enum class StoredRows { kPairs, kUpperPairs, kCounted };
+
+// Stored form of one row set over `n` observations, its rows flattened
+// (kUpperPairs keeps the partners above their row): entry count, n + 1
+// offsets, the ids, then (kCounted) one count byte per entry.
+void PutRows(std::string* out, const RowSet& set, std::size_t n,
+             StoredRows shape) {
+  const std::array<Part, 2> parts = PartsOf(set);
+  // Where row r's stored stretch of `part` starts.
+  auto first = [&](const Part& part, std::size_t r) {
+    const uint64_t begin = part.begin(r);
+    if (shape != StoredRows::kUpperPairs) return begin;
+    const qb::ObsId* ids = part.ids;
+    return static_cast<uint64_t>(
+        std::upper_bound(ids + begin, ids + part.end(r),
+                         static_cast<qb::ObsId>(r)) -
+        ids);
+  };
+  std::vector<uint64_t> offsets;
+  offsets.reserve(n + 1);
+  offsets.push_back(0);
+  for (std::size_t r = 0; r < n; ++r) {
+    uint64_t len = 0;
+    for (const Part& part : parts) len += part.end(r) - first(part, r);
+    offsets.push_back(offsets.back() + len);
+  }
+  PutU64(out, offsets.back());
+  for (uint64_t offset : offsets) PutU64(out, offset);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const Part& part : parts) {
+      for (uint64_t pos = first(part, r); pos < part.end(r); ++pos) {
+        PutU32(out, part.ids[pos]);
+      }
+    }
+  }
+  if (shape != StoredRows::kCounted) return;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const Part& part : parts) {
+      for (uint64_t pos = part.begin(r); pos < part.end(r); ++pos) {
+        PutU8(out, part.counts[pos]);
+      }
+    }
+  }
+}
 
 // Reads one stored row set over `n` observations, clamping every length
 // against the bytes present before sizing anything, then validates it:
@@ -594,16 +648,19 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
   RDFCUBE_RETURN_IF_ERROR(RunCubeMasking(observations, masking, &writer));
   {
     obs::TraceSpan gather("core/snapshot_gather");
-    RDFCUBE_RETURN_IF_ERROR(writer.Finish(&snap->full_, &snap->partial_));
+    Rows full, partial, containers, complements;
+    RDFCUBE_RETURN_IF_ERROR(writer.Finish(&full, &partial));
     // Complementarity pairs come in any order: group them by partner, then
     // transpose, so every row comes out ascending.
-    const Rows by_partner = Scatter(n, Rows{}, false, [&](auto&& place) {
+    const Rows by_partner = Scatter(n, {}, false, [&](auto&& place) {
       for (const PairEntry& e : writer.compl_upper()) place(e.b, e.a, 0u);
     });
-    DeriveRows(n, snap->full_, Transpose(by_partner, n), &snap->containers_,
-               &snap->compl_);
+    DeriveRows(n, full, Transpose(by_partner, n), &containers, &complements);
+    snap->full_ = Frozen(std::move(full));
+    snap->partial_ = Frozen(std::move(partial));
+    snap->containers_ = Frozen(std::move(containers));
+    snap->compl_ = Frozen(std::move(complements));
   }
-  snap->fingerprint_ = FingerprintObservations(observations);
   CountObservations(n);
   static obs::Counter& builds = obs::DefaultCounter(
       "rdfcube_core_snapshot_builds_total",
@@ -614,15 +671,68 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Build(
 
 namespace {
 
-// Whether `observations` extends the base snapshot's corpus: the same
-// observations in [0, base.num_observations()), by prefix fingerprint.
+// Whether `observations` extends the base snapshot's corpus (see
+// BuildIncremental): compared directly, stopping at the first difference.
 bool ExtendsBase(const RelationshipSnapshot& base,
                  const qb::ObservationSet& observations) {
-  const std::size_t base_n = base.num_observations();
-  return observations.size() >= base_n &&
-         FingerprintObservationsPrefix(observations,
-                                       static_cast<qb::ObsId>(base_n)) ==
-             base.fingerprint();
+  const qb::ObservationSet& old = base.observations();
+  const qb::CubeSpace& old_space = old.space();
+  const qb::CubeSpace& space = observations.space();
+  const std::size_t k = space.num_dimensions();
+  if (observations.size() < old.size() || k != old_space.num_dimensions() ||
+      space.num_measures() != old_space.num_measures()) {
+    return false;
+  }
+  // A code keeping its parent keeps its ancestors (parents precede their
+  // children), so relationships among the base observations stand.
+  for (qb::DimId d = 0; d < k; ++d) {
+    const hierarchy::CodeList& was = old_space.code_list(d);
+    const hierarchy::CodeList& now = space.code_list(d);
+    if (now.size() < was.size()) return false;
+    for (hierarchy::CodeId c = 0; c < was.size(); ++c) {
+      if (now.parent(c) != was.parent(c)) return false;
+    }
+  }
+  for (qb::ObsId i = 0; i < old.size(); ++i) {
+    const qb::Observation& was = old.obs(i);
+    const qb::Observation& now = observations.obs(i);
+    if (now.dataset != was.dataset || now.values.size() != was.values.size()) {
+      return false;
+    }
+    for (qb::DimId d = 0; d < k; ++d) {
+      if (observations.ValueOrRoot(i, d) != old.ValueOrRoot(i, d)) {
+        return false;
+      }
+    }
+    for (std::size_t v = 0; v < was.values.size(); ++v) {
+      if (now.values[v].first != was.values[v].first ||
+          std::bit_cast<uint64_t>(now.values[v].second) !=
+              std::bit_cast<uint64_t>(was.values[v].second)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// Row set `base` extended over `n` observations by the entries
+// `for_each(place)` places (see Scatter), in one pass: the base's frozen
+// rows are kept and the tail is written as the base's tail plus the new
+// entries, unless that tail would hold more entries than the frozen rows
+// under it; then everything is written into one flat frozen set instead.
+// That fixed rule keeps a row to two stretches and bounds what a chain of
+// refreshes copies.
+template <typename ForEach>
+RowSet Extend(const RowSet& base, std::size_t n, std::size_t added,
+              bool with_counts, ForEach&& for_each) {
+  const std::size_t tail = base.tail.ids.size() + added;
+  if (tail > base.frozen->ids.size()) {
+    const std::array<Part, 2> parts = PartsOf(base);
+    return Frozen(Scatter(n, parts, with_counts, for_each));
+  }
+  if (tail == 0) return {base.frozen, Rows{}};
+  const Part prefix[] = {PartOf(base.tail)};
+  return {base.frozen, Scatter(n, prefix, with_counts, for_each)};
 }
 
 }  // namespace
@@ -662,28 +772,33 @@ Result<RelationshipSnapshot::Ptr> RelationshipSnapshot::Refresh(
   const std::size_t n = observations.size();
 
   // The delta: every pair with at least one appended observation. Appended
-  // ids sort after every base id, so each base row only gains a tail, and
-  // the evaluation order already leaves every row ascending: each row is
-  // written once, its base row first, then its delta in that order.
+  // ids sort after every base id, so a row's delta partners exceed all its
+  // base partners, and the evaluation order already leaves every row
+  // ascending: each tail row is written once, its base tail first, then its
+  // delta in that order.
   Delta delta;
   RDFCUBE_RETURN_IF_ERROR(EvaluateDelta(observations, snap->selector_,
                                         base_n, options.deadline, &delta));
-  snap->full_ = Scatter(n, base.full_, false, [&](auto&& place) {
-    for (const PairEntry& e : delta.full) place(e.a, e.b, 0u);
-  });
-  snap->containers_ = Scatter(n, base.containers_, false, [&](auto&& place) {
-    for (const PairEntry& e : delta.full) place(e.b, e.a, 0u);
-  });
-  snap->partial_ = Scatter(n, base.partial_, true, [&](auto&& place) {
-    for (const PartialEntry& e : delta.partial) place(e.a, e.b, e.count);
-  });
-  snap->compl_ = Scatter(n, base.compl_, false, [&](auto&& place) {
-    for (const PairEntry& e : delta.compl_upper) {
-      place(e.a, e.b, 0u);
-      place(e.b, e.a, 0u);
-    }
-  });
-  snap->fingerprint_ = FingerprintObservations(observations);
+  snap->full_ =
+      Extend(base.full_, n, delta.full.size(), false, [&](auto&& place) {
+        for (const PairEntry& e : delta.full) place(e.a, e.b, 0u);
+      });
+  snap->containers_ =
+      Extend(base.containers_, n, delta.full.size(), false, [&](auto&& place) {
+        for (const PairEntry& e : delta.full) place(e.b, e.a, 0u);
+      });
+  snap->partial_ =
+      Extend(base.partial_, n, delta.partial.size(), true, [&](auto&& place) {
+        for (const PartialEntry& e : delta.partial) place(e.a, e.b, e.count);
+      });
+  const std::size_t compl_added = 2 * delta.compl_upper.size();
+  snap->compl_ =
+      Extend(base.compl_, n, compl_added, false, [&](auto&& place) {
+        for (const PairEntry& e : delta.compl_upper) {
+          place(e.a, e.b, 0u);
+          place(e.b, e.a, 0u);
+        }
+      });
   CountObservations(n - base_n);
   static obs::Counter& refreshes = obs::DefaultCounter(
       "rdfcube_core_snapshot_refreshes_total",
@@ -713,21 +828,28 @@ RDFCUBE_HOT Status RelationshipSnapshot::Walk(const ScanCursor& after,
   }
   struct Pass {
     uint8_t kind;
-    const Rows* rows;
+    const RowSet* rows;
   };
   const Pass passes[] = {{'C', &compl_}, {'F', &full_}, {'P', &partial_}};
   std::size_t emitted = 0;
   std::size_t since_check = 0;
+  bool expired = false;
   for (const Pass& pass : passes) {
     if (pass.kind < after.kind) continue;
-    const bool resume = pass.kind == after.kind;
-    const Rows& rows = *pass.rows;
-    const qb::ObsId* ids = rows.ids.data();
-    for (std::size_t row = resume ? after.a : 0; row < n; ++row) {
-      const qb::ObsId* first = ids + rows.offsets[row];
-      const qb::ObsId* last = ids + rows.offsets[row + 1];
+    const uint8_t kind = pass.kind;
+    const bool resume = kind == after.kind;
+    // Each part's pointers live in locals: `emit` may store anywhere, which
+    // would otherwise reload them after every record.
+    const Part frozen = PartOf(*pass.rows->frozen);
+    const Part tail = PartOf(pass.rows->tail);
+    // Emits row `row`'s records in [first, last), a non-empty stretch of
+    // the part whose ids and counts start at `ids` and `counts`; false once
+    // the walk must stop (at the limit, or when the deadline expired).
+    auto stretch = [&](const qb::ObsId* ids, const uint8_t* counts,
+                       const qb::ObsId* first, const qb::ObsId* last,
+                       std::size_t row) {
       // Complement rows hold both directions; scans report a < b.
-      if (pass.kind == 'C') {
+      if (kind == 'C') {
         first = std::upper_bound(first, last, static_cast<qb::ObsId>(row));
       }
       if (resume && row == after.a) {
@@ -736,21 +858,35 @@ RDFCUBE_HOT Status RelationshipSnapshot::Walk(const ScanCursor& after,
       for (const qb::ObsId* it = first; it != last; ++it) {
         if (emitted == limit) {
           *more = true;
-          return Status::OK();
+          return false;
         }
         if (++since_check == kDeadlineStride) {
           since_check = 0;
           if (deadline.Expired()) {
-            return Status::TimedOut("deadline expired mid-scan");
+            expired = true;
+            return false;
           }
         }
-        const double degree =
-            pass.kind == 'P' ? degree_of[rows.counts[it - ids]] : 0.0;
-        emit(pass.kind, static_cast<qb::ObsId>(row), *it, degree);
+        const double degree = kind == 'P' ? degree_of[counts[it - ids]] : 0.0;
+        emit(kind, static_cast<qb::ObsId>(row), *it, degree);
         ++emitted;
       }
+      return true;
+    };
+    // Row `row` of `part`, skipped before any search when empty.
+    auto part_row = [&](const Part& part, std::size_t row) {
+      if (row >= part.rows) return true;
+      const qb::ObsId* first = part.ids + part.offsets[row];
+      const qb::ObsId* last = part.ids + part.offsets[row + 1];
+      return first == last || stretch(part.ids, part.counts, first, last, row);
+    };
+    // Row `row` is two stretches: its frozen row, then its tail row.
+    for (std::size_t row = resume ? after.a : 0; row < n; ++row) {
+      if (!part_row(frozen, row) || !part_row(tail, row)) break;
     }
+    if (*more || expired) break;
   }
+  if (expired) return Status::TimedOut("deadline expired mid-scan");
   return Status::OK();
 }
 
@@ -786,11 +922,15 @@ RDFCUBE_HOT Status RelationshipSnapshot::ScanAll(
 
 namespace {
 
-// Copies row `id` of `rows`.
-RDFCUBE_HOT std::vector<qb::ObsId> CopyRow(const Rows& rows, qb::ObsId id) {
-  const qb::ObsId* ids = rows.ids.data();
-  return std::vector<qb::ObsId>(ids + rows.offsets[id],
-                                ids + rows.offsets[id + 1]);
+// Copies row `id` of `rows`: its frozen stretch, then its tail stretch.
+RDFCUBE_HOT std::vector<qb::ObsId> CopyRow(const RowSet& rows, qb::ObsId id) {
+  const std::array<Part, 2> parts = PartsOf(rows);
+  std::vector<qb::ObsId> out;
+  out.reserve(parts[0].size(id) + parts[1].size(id));
+  for (const Part& part : parts) {
+    out.insert(out.end(), part.ids + part.begin(id), part.ids + part.end(id));
+  }
+  return out;
 }
 
 }  // namespace
@@ -819,36 +959,59 @@ RelationshipSnapshot::PartiallyContained(qb::ObsId id, double min_degree,
   RDFCUBE_RETURN_IF_ERROR(CheckPointQuery(id, num_observations(), deadline));
   const double dims =
       static_cast<double>(observations().space().num_dimensions());
-  const uint64_t begin = partial_.offsets[id];
-  const uint64_t end = partial_.offsets[id + 1];
+  const std::array<Part, 2> parts = PartsOf(partial_);
   std::vector<PartialMatch> out;
-  out.reserve(end - begin);
-  for (uint64_t pos = begin; pos < end; ++pos) {
-    const double degree = static_cast<double>(partial_.counts[pos]) / dims;
-    if (degree >= min_degree) out.push_back({partial_.ids[pos], degree});
+  out.reserve(parts[0].size(id) + parts[1].size(id));
+  for (const Part& part : parts) {
+    for (uint64_t pos = part.begin(id); pos < part.end(id); ++pos) {
+      const double degree = static_cast<double>(part.counts[pos]) / dims;
+      if (degree >= min_degree) out.push_back({part.ids[pos], degree});
+    }
   }
   return out;
 }
 
+namespace {
+
+// `set`'s rows over `n` observations as one flat CSR.
+Rows Flatten(const RowSet& set, std::size_t n, bool with_counts) {
+  const std::array<Part, 2> parts = PartsOf(set);
+  return Scatter(n, parts, with_counts, [](auto&&) {});
+}
+
+}  // namespace
+
 bool RelationshipSnapshot::SameRelationships(
     const RelationshipSnapshot& other) const {
-  return full_ == other.full_ && containers_ == other.containers_ &&
-         partial_ == other.partial_ && compl_ == other.compl_;
+  const std::size_t n = num_observations();
+  if (other.num_observations() != n) return false;
+  auto same = [&](const RowSet& x, const RowSet& y, bool with_counts) {
+    return Flatten(x, n, with_counts) == Flatten(y, n, with_counts);
+  };
+  return same(full_, other.full_, false) &&
+         same(containers_, other.containers_, false) &&
+         same(partial_, other.partial_, true) &&
+         same(compl_, other.compl_, false);
+}
+
+uint64_t RelationshipSnapshot::fingerprint() const {
+  return FingerprintObservations(observations());
 }
 
 Status RelationshipSnapshot::SaveTo(const std::string& path) const {
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
   PutU64(&out, version_);
-  PutU64(&out, fingerprint_);
+  PutU64(&out, fingerprint());
   PutU32(&out, SelectorBits(selector_));
   RDFCUBE_ASSIGN_OR_RETURN(std::string corpus_bytes,
                            qb::SerializeCorpus(corpus_));
   PutU64(&out, corpus_bytes.size());
   out += corpus_bytes;
-  PutRows(&out, full_);
-  PutRows(&out, partial_);
-  PutRows(&out, UpperHalf(compl_, num_observations()));
+  const std::size_t n = num_observations();
+  PutRows(&out, full_, n, StoredRows::kPairs);
+  PutRows(&out, partial_, n, StoredRows::kCounted);
+  PutRows(&out, compl_, n, StoredRows::kUpperPairs);
   if (FaultTriggered(kFaultSnapshotSaveStage)) {
     // Model a crash mid-stage: a torn staging file appears beside the target
     // but the published path is never replaced (readers keep the old file).
@@ -899,22 +1062,24 @@ RelationshipSnapshot::LoadFrom(const std::string& path) {
   }
   const std::size_t n = observations.size();
   const std::size_t dims = observations.space().num_dimensions();
-  Rows compl_upper;
+  Rows full, partial, compl_upper, containers, complements;
+  RDFCUBE_RETURN_IF_ERROR(ReadRows(&r, n, StoredRows::kPairs, dims, &full));
   RDFCUBE_RETURN_IF_ERROR(
-      ReadRows(&r, n, StoredRows::kPairs, dims, &snap->full_));
-  RDFCUBE_RETURN_IF_ERROR(
-      ReadRows(&r, n, StoredRows::kCounted, dims, &snap->partial_));
+      ReadRows(&r, n, StoredRows::kCounted, dims, &partial));
   RDFCUBE_RETURN_IF_ERROR(
       ReadRows(&r, n, StoredRows::kUpperPairs, dims, &compl_upper));
   if (!r.AtEnd()) return Corrupt("trailing bytes");
   const RelationshipSelector& sel = snap->selector_;
-  if ((!sel.full_containment && !snap->full_.ids.empty()) ||
-      (!sel.partial_containment && !snap->partial_.ids.empty()) ||
+  if ((!sel.full_containment && !full.ids.empty()) ||
+      (!sel.partial_containment && !partial.ids.empty()) ||
       (!sel.complementarity && !compl_upper.ids.empty())) {
     return Corrupt("rows for a relationship type the selector excludes");
   }
-  DeriveRows(n, snap->full_, compl_upper, &snap->containers_, &snap->compl_);
-  snap->fingerprint_ = fingerprint;
+  DeriveRows(n, full, compl_upper, &containers, &complements);
+  snap->full_ = Frozen(std::move(full));
+  snap->partial_ = Frozen(std::move(partial));
+  snap->containers_ = Frozen(std::move(containers));
+  snap->compl_ = Frozen(std::move(complements));
   static obs::Counter& loads = obs::DefaultCounter(
       "rdfcube_core_snapshot_loads_total",
       "Relationship snapshots loaded from disk");

@@ -5,10 +5,11 @@
 // scans without any kernel work: a lookup copies one row, a scan walks rows
 // in (kind, a, b) order and stops at its limit. Snapshots are immutable
 // after Build(): a refreshed corpus produces a *new* snapshot (copy-on-write
-// via BuildIncremental, which writes each base row once with the
-// relationships of the appended observations after it), and readers holding
-// the old shared_ptr keep a consistent view for as long as they need it.
-// This is the read side the relationship server publishes atomically.
+// via BuildIncremental, which shares the base's frozen rows and writes only
+// a tail holding the relationships of the appended observations), and
+// readers holding the old shared_ptr keep a consistent view for as long as
+// they need it. This is the read side the relationship server publishes
+// atomically.
 
 #ifndef RDFCUBE_CORE_SNAPSHOT_H_
 #define RDFCUBE_CORE_SNAPSHOT_H_
@@ -92,11 +93,11 @@ class RelationshipSnapshot {
     uint64_t version = 0;
   };
 
-  /// \brief One relationship type frozen as CSR rows: row `r` lists its
-  /// partners in ids[offsets[r], offsets[r + 1]), strictly ascending.
+  /// \brief CSR rows: row `r` lists its partners in
+  /// ids[offsets[r], offsets[r + 1]), strictly ascending.
   struct Rows {
-    /// num_observations() + 1 entries; offsets[0] == 0, the last equals
-    /// ids.size().
+    /// One entry per row plus one (none for no rows); offsets[0] == 0, the
+    /// last equals ids.size().
     std::vector<uint64_t> offsets;
     std::vector<qb::ObsId> ids;
     /// Partial containment only: per entry, the number of dimensions on
@@ -104,6 +105,23 @@ class RelationshipSnapshot {
     std::vector<uint8_t> counts;
 
     bool operator==(const Rows& other) const = default;
+  };
+
+  /// \brief One relationship type: frozen rows, shared between snapshot
+  /// versions, then this snapshot's own tail. Row `r` is frozen row `r`
+  /// (empty past the frozen rows' end), then tail row `r` (empty without a
+  /// tail); every tail partner exceeds every frozen partner of its row, so
+  /// the row stays strictly ascending. Build and LoadFrom write frozen rows
+  /// and no tail. A refresh keeps its base's frozen rows and writes the
+  /// base's tail plus its delta as its own tail, unless that tail would hold
+  /// more entries than the frozen rows: then it writes one flat frozen set
+  /// instead, so a row is always two stretches at most.
+  struct RowSet {
+    /// Never null once the snapshot is built.
+    std::shared_ptr<const Rows> frozen;
+    Rows tail;
+
+    std::size_t entries() const { return frozen->ids.size() + tail.ids.size(); }
   };
 
   /// \brief Builds a snapshot from the corpus alone. One cubeMasking run,
@@ -117,25 +135,32 @@ class RelationshipSnapshot {
   static Result<Ptr> Build(qb::Corpus corpus, const BuildOptions& options);
 
   /// \brief Copy-on-write refresh: `corpus` must extend the base snapshot's
-  /// corpus (same observations in [0, base.num_observations()), verified by
-  /// prefix fingerprint — FailedPrecondition otherwise; InvalidArgument on
-  /// an empty corpus handle). Only the pairs involving an appended
-  /// observation are evaluated, with the pair kernel's row forms over the
-  /// corpus's labels packed once. Each row set is then written in one pass:
-  /// every row is its base row followed by its new partners in evaluation
-  /// order, which is already ascending. Refresh cost is O(delta × n) plus
-  /// one copy of the base rows, not O(n²). TimedOut when the deadline
-  /// expires (checked once per appended observation), Internal when
-  /// kFaultSnapshotBuild fires. The base snapshot is not modified. The
-  /// selector is inherited from `base`; `options.selector` is ignored.
+  /// corpus, which is checked by comparing the two corpora directly: equal
+  /// dimension and measure counts; each dimension's code list keeps every
+  /// base code under the same parent (codes may be appended, which leaves
+  /// the ancestry among the old codes as it was); and observations
+  /// [0, base.num_observations()) have the same dataset, root-padded codes
+  /// and measures with bit-identical values. FailedPrecondition otherwise,
+  /// an edited hierarchy included; InvalidArgument on an empty corpus
+  /// handle. Only the pairs involving an appended observation are
+  /// evaluated, with the pair kernel's row forms over the corpus's labels
+  /// packed once. Each row set keeps the base's frozen rows and writes its
+  /// tail in one pass: every row's base tail, then its new partners in
+  /// evaluation order, which is already ascending (see RowSet for the fold
+  /// into flat frozen rows). Refresh cost is O(delta × n) plus the tail;
+  /// the base rows are never copied. TimedOut when the deadline expires
+  /// (checked once per appended observation), Internal when
+  /// kFaultSnapshotBuild fires. The base snapshot is not modified and may
+  /// be released first. The selector is inherited from `base`;
+  /// `options.selector` is ignored.
   static Result<Ptr> BuildIncremental(const RelationshipSnapshot& base,
                                       qb::Corpus corpus,
                                       const BuildOptions& options);
 
   /// \brief The build a reload needs: BuildIncremental's refresh of `base`
-  /// when it is non-null and `corpus` extends its corpus, else Build of
-  /// `corpus` with `options.selector`. The corpus prefix is fingerprinted
-  /// once, both to choose the path and to verify the extension.
+  /// when it is non-null and `corpus` extends its corpus (the same
+  /// comparison, made once), else Build of `corpus` with
+  /// `options.selector`.
   static Result<Ptr> BuildOrRefresh(const RelationshipSnapshot* base,
                                     qb::Corpus corpus,
                                     const BuildOptions& options);
@@ -143,9 +168,10 @@ class RelationshipSnapshot {
   /// Publication version stamped at build time.
   uint64_t version() const { return version_; }
 
-  /// FingerprintObservations() of the snapped corpus; readers can assert
-  /// that answers from one connection all came from the same data.
-  uint64_t fingerprint() const { return fingerprint_; }
+  /// FingerprintObservations() of the snapped corpus, computed on each
+  /// call (O(observations × dimensions)); readers can assert that answers
+  /// from one connection all came from the same data.
+  uint64_t fingerprint() const;
 
   /// Relationship types this snapshot materialized.
   const RelationshipSelector& selector() const { return selector_; }
@@ -158,15 +184,15 @@ class RelationshipSnapshot {
   /// Number of snapped observations (valid query ids are [0, this)).
   std::size_t num_observations() const { return corpus_.observations->size(); }
 
-  std::size_t num_full() const { return full_.ids.size(); }
-  std::size_t num_partial() const { return partial_.ids.size(); }
+  std::size_t num_full() const { return full_.entries(); }
+  std::size_t num_partial() const { return partial_.entries(); }
   /// Unordered complementary pairs (each is stored in both rows).
-  std::size_t num_complementary() const { return compl_.ids.size() / 2; }
+  std::size_t num_complementary() const { return compl_.entries() / 2; }
 
-  // Point lookups. Each copies one frozen row (O(partners of id)); ids are
-  // ascending. NotFound when `id` is not a snapped observation, TimedOut
-  // when `deadline` already expired on entry (the copy itself is too cheap
-  // to interrupt).
+  // Point lookups. Each copies one row, its frozen stretch then its tail
+  // (O(partners of id)); ids are ascending. NotFound when `id` is not a
+  // snapped observation, TimedOut when `deadline` already expired on entry
+  // (the copy itself is too cheap to interrupt).
 
   /// Observations that fully contain `id`.
   Result<std::vector<qb::ObsId>> Containers(qb::ObsId id,
@@ -200,12 +226,15 @@ class RelationshipSnapshot {
   [[nodiscard]] Status ScanAll(RelationshipSink* sink,
                                const Deadline& deadline) const;
 
-  /// True when `other` holds bit-identical frozen rows for every
-  /// relationship type, in both directions.
+  /// True when `other` holds bit-identical rows for every relationship
+  /// type, in both directions, however each splits them into frozen rows
+  /// and a tail.
   bool SameRelationships(const RelationshipSnapshot& other) const;
 
   /// Atomically persists the snapshot (staged write + rename, reusing
   /// AtomicWriteFile): a crash mid-save can never tear the published file.
+  /// Rows are written flat, so a refreshed snapshot's file is byte-identical
+  /// to a Build's over the same corpus and version.
   /// IOError on filesystem failure or when kFaultSnapshotSaveStage fires.
   [[nodiscard]] Status SaveTo(const std::string& path) const;
 
@@ -234,11 +263,10 @@ class RelationshipSnapshot {
   qb::Corpus corpus_;
   RelationshipSelector selector_;
   uint64_t version_ = 0;
-  uint64_t fingerprint_ = 0;
-  Rows full_;        // a -> b: a fully contains b (scans, Contained)
-  Rows containers_;  // b -> a: the transpose of full_ (Containers)
-  Rows partial_;     // a -> b with counts (scans, PartiallyContained)
-  Rows compl_;       // both directions (Complements; scans take a < b)
+  RowSet full_;        // a -> b: a fully contains b (scans, Contained)
+  RowSet containers_;  // b -> a: the transpose of full_ (Containers)
+  RowSet partial_;     // a -> b with counts (scans, PartiallyContained)
+  RowSet compl_;       // both directions (Complements; scans take a < b)
 };
 
 }  // namespace core

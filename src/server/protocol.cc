@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "base/untrusted.h"
 #include "core/snapshot_io.h"
@@ -38,6 +39,49 @@ T Load(const char* p) {
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
+
+// Element `i` of a counted run of fixed-width fields that starts at `run`,
+// as a forward iterator that decodes one element per step: `assign` from
+// element 0 to element `count` sizes a vector once and writes each element
+// once, where `resize` would value-initialize every element first.
+template <typename T, std::size_t kStride, T (*kDecode)(const char*)>
+class Run {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const T*;
+  using reference = T;
+
+  Run() = default;
+  Run(const char* run, std::size_t i) : run_(run), i_(i) {}
+
+  T operator*() const { return kDecode(run_ + i_ * kStride); }
+  Run& operator++() {
+    ++i_;
+    return *this;
+  }
+  Run operator++(int) {
+    Run before = *this;
+    ++i_;
+    return before;
+  }
+  bool operator==(const Run& other) const = default;
+
+ private:
+  const char* run_ = nullptr;
+  std::size_t i_ = 0;
+};
+
+ScanRecord LoadRecord(const char* p) {
+  return {static_cast<uint8_t>(*p), Load<uint32_t>(p + 1),
+          Load<uint32_t>(p + 5), Load<double>(p + 9)};
+}
+
+using IdRun = Run<qb::ObsId, 4, Load<uint32_t>>;
+using DegreeRun = Run<double, 8, Load<double>>;
+using RecordRun = Run<ScanRecord, kScanRecordBytes, LoadRecord>;
+using StatRun = Run<uint64_t, 8, Load<uint64_t>>;
 
 char* StoreText(char* p, const std::string& text) {
   p = Store(p, static_cast<uint32_t>(text.size()));
@@ -182,18 +226,12 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
   if (!r.GetU32(&count)) return Malformed("missing id count");
   if (count > r.Remaining() / 4) return Malformed("id count out of range");
   const char* at = r.Take(std::size_t{count} * 4);
-  resp.ids.resize(count);
-  for (qb::ObsId& id : resp.ids) {
-    id = Load<uint32_t>(at);
-    at += 4;
-  }
+  resp.ids.assign(IdRun(at, 0), IdRun(at, count));
   if (!r.GetU32(&count)) return Malformed("missing degree count");
   if (count > r.Remaining() / 8) return Malformed("degree count out of range");
   at = r.Take(std::size_t{count} * 8);
-  resp.degrees.resize(count);
-  for (double& d : resp.degrees) {
-    d = Load<double>(at);
-    at += 8;
+  resp.degrees.assign(DegreeRun(at, 0), DegreeRun(at, count));
+  for (double d : resp.degrees) {
     if (std::isnan(d)) return Malformed("degree is NaN");
   }
   if (!r.GetU32(&count)) return Malformed("missing record count");
@@ -201,13 +239,8 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
     return Malformed("record count out of range");
   }
   at = r.Take(std::size_t{count} * kScanRecordBytes);
-  resp.records.resize(count);
-  for (ScanRecord& rec : resp.records) {
-    rec.kind = static_cast<uint8_t>(*at);
-    rec.a = Load<uint32_t>(at + 1);
-    rec.b = Load<uint32_t>(at + 5);
-    rec.degree = Load<double>(at + 9);
-    at += kScanRecordBytes;
+  resp.records.assign(RecordRun(at, 0), RecordRun(at, count));
+  for (const ScanRecord& rec : resp.records) {
     if (rec.kind != 'F' && rec.kind != 'P' && rec.kind != 'C') {
       return Malformed("unknown record kind");
     }
@@ -220,11 +253,7 @@ RDFCUBE_TAINT_SOURCE Result<Response> DecodeResponse(
   if (!r.GetU32(&count)) return Malformed("missing stats count");
   if (count > r.Remaining() / 8) return Malformed("stats count out of range");
   at = r.Take(std::size_t{count} * 8);
-  resp.stats.resize(count);
-  for (uint64_t& s : resp.stats) {
-    s = Load<uint64_t>(at);
-    at += 8;
-  }
+  resp.stats.assign(StatRun(at, 0), StatRun(at, count));
   if (!r.GetU32(&count)) return Malformed("missing text length");
   if (!r.GetBytes(count, &resp.text)) return Malformed("truncated text");
   if (!r.GetU64(&resp.request_id)) return Malformed("missing request id");

@@ -46,7 +46,7 @@ class SnapshotStore {
   /// Rebuilds from `corpus` and publishes on success. Refreshes
   /// copy-on-write (BuildIncremental) when `corpus` extends the current
   /// snapshot's corpus, falls back to a full build otherwise; the choice is
-  /// RelationshipSnapshot::BuildOrRefresh's, one prefix fingerprint. On ANY
+  /// RelationshipSnapshot::BuildOrRefresh's, one corpus comparison. On ANY
   /// failure — build error, deadline expiry, injected crash, swap fault —
   /// the previously published snapshot stays current and the error is
   /// returned. The new snapshot's version is the old version + 1.

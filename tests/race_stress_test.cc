@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -636,6 +637,70 @@ TEST(ServerRaceStressTest, SnapshotStoreSwapStormServesConsistentViews) {
   publisher.join();
   for (std::thread& t : readers) t.join();
   EXPECT_GT(reads.load(), 0u);
+}
+
+// --- Refreshed snapshots under a reload storm --------------------------------
+
+TEST(ServerRaceStressTest, ReadersScanRefreshedSnapshotsWhileTheStoreReloads) {
+  // A publisher reloads a chain of extensions of one base, each a refresh
+  // that shares the base's frozen rows and copies the previous tail, then
+  // republishes the base and starts over, while readers page through
+  // whatever is current. MakeRandomCorpus(seed, n) is a prefix of
+  // (seed, n + k), so every reload extends the one before it. A reader must
+  // see exactly the relationships a Build of that corpus holds.
+  constexpr uint64_t kSeed = 53;
+  const std::size_t sizes[] = {40, 44, 48, 52, 56, 60};
+  std::vector<std::size_t> expected(sizes[5] + 1, 0);
+  core::RelationshipSnapshot::Ptr base;
+  for (std::size_t n : sizes) {
+    auto built = core::RelationshipSnapshot::Build(MakeRandomCorpus(kSeed, n),
+                                                   {});
+    ASSERT_TRUE(built.ok());
+    expected[n] = (*built)->num_full() + (*built)->num_partial() +
+                  (*built)->num_complementary();
+    if (n == sizes[0]) base = built.value();
+  }
+
+  server::SnapshotStore store;
+  store.Publish(base);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scans{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const server::SnapshotPtr snap = store.Current();
+        ASSERT_NE(snap, nullptr);
+        std::size_t records = 0;
+        core::ScanCursor cursor;
+        for (bool more = true; more;) {
+          std::vector<core::ScanRecord> page;
+          ASSERT_TRUE(
+              snap->ScanPage(cursor, 97, Deadline(), &page, &more).ok());
+          records += page.size();
+          // A page that repeats records would otherwise never end.
+          ASSERT_LE(records, expected[snap->num_observations()]);
+          if (more) cursor = {page.back().kind, page.back().a, page.back().b};
+        }
+        EXPECT_EQ(records, expected[snap->num_observations()])
+            << "v" << snap->version();
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::thread publisher([&] {
+    for (int round = 0; round < 20; ++round) {
+      for (std::size_t i = 1; i < std::size(sizes); ++i) {
+        EXPECT_TRUE(
+            store.Reload(MakeRandomCorpus(kSeed, sizes[i]), Deadline()).ok());
+      }
+      store.Publish(base);
+    }
+    stop.store(true, std::memory_order_relaxed);
+  });
+  publisher.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(scans.load(), 0u);
 }
 
 // --- Lock-order stress (TSan deadlock detection) ------------------------------

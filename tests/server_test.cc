@@ -24,7 +24,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -1153,6 +1155,244 @@ TEST(SnapshotTest, IncrementalRefreshRejectsNonExtension) {
   EXPECT_TRUE(shorter.status().IsFailedPrecondition());
 }
 
+// Two dimensions, one measure, one dataset: area (World > Europe, Asia;
+// Greece under `greece_parent`; then each of `more` under its parent) and
+// sex (Total > Male). Codes get ids in that order, so a code list that only
+// appends codes keeps every earlier id. The observations are `coords`.
+qb::Corpus MakeAreaCorpus(
+    const std::string& greece_parent,
+    const std::vector<std::pair<std::string, std::string>>& more,
+    const std::vector<std::pair<std::string, std::string>>& coords) {
+  qb::CorpusBuilder b;
+  EXPECT_TRUE(b.AddDimension("ex:area", "World").ok());
+  EXPECT_TRUE(b.AddCode("ex:area", "Europe", "World").ok());
+  EXPECT_TRUE(b.AddCode("ex:area", "Asia", "World").ok());
+  EXPECT_TRUE(b.AddCode("ex:area", "Greece", greece_parent).ok());
+  for (const auto& [code, parent] : more) {
+    EXPECT_TRUE(b.AddCode("ex:area", code, parent).ok());
+  }
+  EXPECT_TRUE(b.AddDimension("ex:sex", "Total").ok());
+  EXPECT_TRUE(b.AddCode("ex:sex", "Male", "Total").ok());
+  EXPECT_TRUE(b.AddMeasure("ex:m").ok());
+  EXPECT_TRUE(b.AddDataset("D", {"ex:area", "ex:sex"}, {"ex:m"}).ok());
+  for (std::size_t i = 0; i < coords.size(); ++i) {
+    EXPECT_TRUE(b.AddObservation("D", "o" + std::to_string(i),
+                                 {{"ex:area", coords[i].first},
+                                  {"ex:sex", coords[i].second}},
+                                 {{"ex:m", 1.0}})
+                    .ok());
+  }
+  auto corpus = std::move(b).Build();
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  return std::move(corpus).value();
+}
+
+const std::vector<std::pair<std::string, std::string>> kAreaCoords = {
+    {"Greece", "Male"},
+    {"Europe", "Total"},
+    {"Asia", "Total"},
+    {"World", "Male"}};
+
+// kAreaCoords plus one appended observation.
+std::vector<std::pair<std::string, std::string>> AreaCoordsPlus(
+    const std::string& area, const std::string& sex) {
+  auto coords = kAreaCoords;
+  coords.emplace_back(area, sex);
+  return coords;
+}
+
+TEST(SnapshotTest, MovedCodeIsNotAnExtensionAndRebuilds) {
+  // Every observation and code id stays; Greece moves from Europe to Asia.
+  auto base = MustBuild(MakeAreaCorpus("Europe", {}, kAreaCoords));
+  auto europe = base->Contained(1, Deadline());
+  ASSERT_TRUE(europe.ok());
+  EXPECT_EQ(europe.value(), std::vector<ObsId>{0});  // Europe contains Greece
+  auto moved = [] {
+    return MakeAreaCorpus("Asia", {}, AreaCoordsPlus("Greece", "Total"));
+  };
+  auto refreshed = RelationshipSnapshot::BuildIncremental(*base, moved(), {});
+  EXPECT_TRUE(refreshed.status().IsFailedPrecondition())
+      << refreshed.status().ToString();
+
+  const uint64_t builds =
+      GlobalCounterValue("rdfcube_core_snapshot_builds_total");
+  const uint64_t refreshes =
+      GlobalCounterValue("rdfcube_core_snapshot_refreshes_total");
+  auto reloaded = RelationshipSnapshot::BuildOrRefresh(base.get(), moved(), {});
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_builds_total"),
+            builds + 1);
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_refreshes_total"),
+            refreshes);
+  EXPECT_TRUE((*reloaded)->SameRelationships(*MustBuild(moved())));
+  europe = (*reloaded)->Contained(1, Deadline());
+  ASSERT_TRUE(europe.ok());
+  EXPECT_TRUE(europe->empty());
+  auto asia = (*reloaded)->Contained(2, Deadline());
+  ASSERT_TRUE(asia.ok());
+  EXPECT_EQ(asia.value(), (std::vector<ObsId>{0, 4}));
+}
+
+TEST(SnapshotTest, CodesAppendedUnderExistingParentsStillRefresh) {
+  auto base = MustBuild(MakeAreaCorpus("Europe", {}, kAreaCoords));
+  // Italy under Europe and Crete under Greece: new ids after every old one.
+  auto appended = [] {
+    return MakeAreaCorpus("Europe", {{"Italy", "Europe"}, {"Crete", "Greece"}},
+                          AreaCoordsPlus("Crete", "Male"));
+  };
+  const uint64_t builds =
+      GlobalCounterValue("rdfcube_core_snapshot_builds_total");
+  const uint64_t refreshes =
+      GlobalCounterValue("rdfcube_core_snapshot_refreshes_total");
+  auto reloaded =
+      RelationshipSnapshot::BuildOrRefresh(base.get(), appended(), {});
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_builds_total"), builds);
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_refreshes_total"),
+            refreshes + 1);
+  const auto built = MustBuild(appended());
+  EXPECT_TRUE((*reloaded)->SameRelationships(*built));
+  auto refreshed =
+      RelationshipSnapshot::BuildIncremental(*base, appended(), {});
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_TRUE((*refreshed)->SameRelationships(*built));
+}
+
+// Every read of `got` equals the same read of `want`: rows, scan and every
+// point lookup.
+void ExpectSameReads(const RelationshipSnapshot& got,
+                     const RelationshipSnapshot& want,
+                     const std::string& what) {
+  EXPECT_TRUE(got.SameRelationships(want)) << what;
+  RecordSink got_scan, want_scan;
+  ASSERT_TRUE(got.ScanAll(&got_scan, Deadline()).ok()) << what;
+  ASSERT_TRUE(want.ScanAll(&want_scan, Deadline()).ok()) << what;
+  EXPECT_EQ(KeysOf(got_scan.records), KeysOf(want_scan.records)) << what;
+  ASSERT_EQ(got.num_observations(), want.num_observations()) << what;
+  EXPECT_EQ(got.num_full(), want.num_full()) << what;
+  EXPECT_EQ(got.num_partial(), want.num_partial()) << what;
+  EXPECT_EQ(got.num_complementary(), want.num_complementary()) << what;
+  for (ObsId id = 0; id < want.num_observations(); ++id) {
+    EXPECT_EQ(got.Containers(id, Deadline()).value(),
+              want.Containers(id, Deadline()).value())
+        << what << " Containers(" << id << ")";
+    EXPECT_EQ(got.Contained(id, Deadline()).value(),
+              want.Contained(id, Deadline()).value())
+        << what << " Contained(" << id << ")";
+    EXPECT_EQ(got.Complements(id, Deadline()).value(),
+              want.Complements(id, Deadline()).value())
+        << what << " Complements(" << id << ")";
+    const auto got_partial = got.PartiallyContained(id, 0.0, Deadline());
+    const auto want_partial = want.PartiallyContained(id, 0.0, Deadline());
+    ASSERT_EQ(got_partial->size(), want_partial->size())
+        << what << " PartiallyContained(" << id << ")";
+    for (std::size_t i = 0; i < want_partial->size(); ++i) {
+      EXPECT_EQ((*got_partial)[i].other, (*want_partial)[i].other);
+      EXPECT_EQ((*got_partial)[i].degree, (*want_partial)[i].degree);
+    }
+  }
+}
+
+// A refresh keeps its base's frozen rows and writes a tail, until the tail
+// would outgrow them: then the rows are folded into one flat frozen set. A
+// chain from one base through small appends (tails under the frozen rows),
+// one large append (which must fold) and a small append over the folded
+// rows reads like a Build at every step.
+TEST(SnapshotTest, ChainedTailsAndAFoldReadLikeBuild) {
+  const qb::Corpus whole = MakeRandomCorpus(31, 130);
+  const std::size_t base_n = 60;
+  const std::size_t steps[] = {63, 66, 69, 120, 124};
+  const std::size_t fold = 120;
+  std::vector<RelationshipSnapshot::Ptr> built;
+  for (std::size_t n : steps) built.push_back(MustBuild(PrefixOf(whole, n)));
+  const auto base = MustBuild(PrefixOf(whole, base_n));
+  // The chain crosses the fold rule as intended: on both containment row
+  // sets, each small append's tail (the relationships added since the base)
+  // stays within the base's frozen rows, and the large append's exceeds
+  // them.
+  for (std::size_t i = 0; i < built.size() && steps[i] <= fold; ++i) {
+    const auto& snap = *built[i];
+    const bool folds = steps[i] == fold;
+    EXPECT_EQ(snap.num_full() - base->num_full() > base->num_full(), folds)
+        << "step " << steps[i];
+    EXPECT_EQ(snap.num_partial() - base->num_partial() > base->num_partial(),
+              folds)
+        << "step " << steps[i];
+  }
+  RelationshipSnapshot::Ptr chained = base;
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    auto next = RelationshipSnapshot::BuildIncremental(
+        *chained, PrefixOf(whole, steps[i]), {});
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    chained = next.value();
+    ExpectSameReads(*chained, *built[i], "step " + std::to_string(steps[i]));
+  }
+}
+
+// Pages of a refreshed snapshot, resumed from cursors on a row's last
+// frozen partner (the next record is the row's first tail partner) and
+// inside a row's tail, concatenate to the scan's suffix.
+TEST(SnapshotPagingTest, CursorsAtAndInsideTheTailResumeExactly) {
+  const qb::Corpus whole = MakeRandomCorpus(37, 70);
+  const ObsId base_n = 60;
+  auto base = MustBuild(PrefixOf(whole, base_n));
+  auto refreshed =
+      RelationshipSnapshot::BuildIncremental(*base, PrefixOf(whole, 70), {});
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  RecordSink scan;
+  ASSERT_TRUE((*refreshed)->ScanAll(&scan, Deadline()).ok());
+  const std::vector<ScanRecord>& all = scan.records;
+  // The records after `cursor`, `page` at a time. Every page resumes
+  // strictly after its cursor; one that does not would repeat forever, so
+  // it ends the walk with a failure.
+  auto pages_after = [&](ScanCursor cursor, std::size_t page) {
+    std::vector<ScanRecord> pages;
+    for (bool more = true; more;) {
+      std::vector<ScanRecord> records;
+      EXPECT_TRUE(
+          (*refreshed)->ScanPage(cursor, page, Deadline(), &records, &more)
+              .ok());
+      if (records.empty() ? more : !KeyAfter(records.front(), cursor)) {
+        ADD_FAILURE() << "a page did not resume after cursor " << cursor.kind
+                      << " " << cursor.a << " " << cursor.b;
+        break;
+      }
+      pages.insert(pages.end(), records.begin(), records.end());
+      if (more) {
+        cursor = {records.back().kind, records.back().a, records.back().b};
+      }
+    }
+    return pages;
+  };
+  for (std::size_t page : {std::size_t{1}, std::size_t{7}, std::size_t{2000}}) {
+    EXPECT_EQ(KeysOf(pages_after({}, page)), KeysOf(all)) << "page " << page;
+  }
+  // In a base row, partners below base_n are frozen and the rest are tail.
+  std::map<uint8_t, int> at_split, inside_tail;
+  for (std::size_t i = 0; i + 1 < all.size(); ++i) {
+    const ScanRecord& r = all[i];
+    const ScanRecord& next = all[i + 1];
+    if (r.a >= base_n || next.kind != r.kind || next.a != r.a ||
+        next.b < base_n) {
+      continue;
+    }
+    int& seen = (r.b < base_n ? at_split : inside_tail)[r.kind];
+    if (seen == 3) continue;
+    ++seen;
+    const std::vector<ScanRecord> suffix(all.begin() + static_cast<long>(i) + 1,
+                                         all.end());
+    for (std::size_t page : {std::size_t{1}, std::size_t{5}}) {
+      EXPECT_EQ(KeysOf(pages_after({r.kind, r.a, r.b}, page)), KeysOf(suffix))
+          << "cursor " << r.kind << " " << r.a << " " << r.b << " page "
+          << page;
+    }
+  }
+  for (uint8_t kind : {'F', 'P'}) {
+    EXPECT_GT(at_split[kind], 0) << kind;
+    EXPECT_GT(inside_tail[kind], 0) << kind;
+  }
+}
+
 // --- RelationshipSnapshot: persistence ---------------------------------------
 
 TEST(SnapshotTest, SaveLoadRoundTrip) {
@@ -1170,6 +1410,36 @@ TEST(SnapshotTest, SaveLoadRoundTrip) {
   EXPECT_TRUE(ScanSets(**loaded) == ScanSets(*snap));
   EXPECT_TRUE((*loaded)->SameRelationships(*snap));
   std::remove(path.c_str());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(SnapshotTest, RefreshedSnapshotSavesBuildsBytesAndLoadsBack) {
+  const qb::Corpus whole = MakeRandomCorpus(41, 60);
+  auto base = MustBuild(PrefixOf(whole, 45), 1);
+  RelationshipSnapshot::BuildOptions options;
+  options.version = 7;
+  auto refreshed = RelationshipSnapshot::BuildIncremental(
+      *base, PrefixOf(whole, 60), options);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  const std::string refreshed_path = TempPath("snapshot_refreshed.snap");
+  const std::string built_path = TempPath("snapshot_built.snap");
+  ASSERT_TRUE((*refreshed)->SaveTo(refreshed_path).ok());
+  ASSERT_TRUE(MustBuild(PrefixOf(whole, 60), 7)->SaveTo(built_path).ok());
+  const std::string bytes = FileBytes(refreshed_path);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_TRUE(bytes == FileBytes(built_path));
+  auto loaded = RelationshipSnapshot::LoadFrom(refreshed_path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->version(), 7u);
+  EXPECT_EQ((*loaded)->fingerprint(), (*refreshed)->fingerprint());
+  ExpectSameReads(**loaded, **refreshed, "loaded");
+  std::remove(refreshed_path.c_str());
+  std::remove(built_path.c_str());
 }
 
 TEST(SnapshotTest, LoadRejectsTruncationAndCorruption) {
@@ -1285,6 +1555,26 @@ TEST(SnapshotStoreTest, ReloadPublishesBumpedVersionAndKeepsLastGood) {
       store.Reload(MakeRandomCorpus(9, 40), Deadline(0.0)).IsTimedOut());
   EXPECT_EQ(store.Current(), before);
   EXPECT_EQ(store.reload_failures(), 3u);
+}
+
+// The refreshed snapshot shares its base's frozen rows: it stays whole after
+// the base and the store that held both are gone (run under ASan too).
+TEST(SnapshotStoreTest, RefreshedSnapshotOutlivesItsBaseAndTheStore) {
+  const qb::Corpus whole = MakeRandomCorpus(43, 60);
+  const uint64_t refreshes =
+      GlobalCounterValue("rdfcube_core_snapshot_refreshes_total");
+  SnapshotPtr refreshed;
+  {
+    SnapshotStore store;
+    // The store holds the only reference to the base.
+    store.Publish(MustBuild(PrefixOf(whole, 40), 1));
+    ASSERT_TRUE(store.Reload(PrefixOf(whole, 60), Deadline()).ok());
+    refreshed = store.Current();
+  }
+  EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_refreshes_total"),
+            refreshes + 1);
+  ASSERT_EQ(refreshed.use_count(), 1);
+  ExpectSameReads(*refreshed, *MustBuild(PrefixOf(whole, 60)), "outlived");
 }
 
 // --- End-to-end server/client ------------------------------------------------
