@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -91,6 +92,26 @@ uint64_t FingerprintObservations(const qb::ObservationSet& obs) {
     }
   }
   return h;
+}
+
+bool SameObservation(const qb::ObservationSet& a, const qb::ObservationSet& b,
+                     qb::ObsId i) {
+  const qb::Observation& x = a.obs(i);
+  const qb::Observation& y = b.obs(i);
+  if (x.dataset != y.dataset || x.values.size() != y.values.size()) {
+    return false;
+  }
+  for (qb::DimId d = 0; d < a.space().num_dimensions(); ++d) {
+    if (a.ValueOrRoot(i, d) != b.ValueOrRoot(i, d)) return false;
+  }
+  for (std::size_t v = 0; v < x.values.size(); ++v) {
+    if (x.values[v].first != y.values[v].first ||
+        std::bit_cast<uint64_t>(x.values[v].second) !=
+            std::bit_cast<uint64_t>(y.values[v].second)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 uint32_t SelectorBits(const RelationshipSelector& selector) {

@@ -81,6 +81,15 @@ struct MaskingCheckpoint {
 /// collision caveat).
 uint64_t FingerprintObservations(const qb::ObservationSet& obs);
 
+/// Whether observation `i` is the same in `a` and `b` field by field, over
+/// the fields FingerprintObservations hashes: dataset id, root-padded
+/// dimension values, and measure ids with bit-identical values. The two
+/// sets must have the same number of dimensions. Keep both covering the
+/// same fields: a snapshot refresh decides with this what LoadFrom and a
+/// checkpoint resume decide with the fingerprint.
+bool SameObservation(const qb::ObservationSet& a, const qb::ObservationSet& b,
+                     qb::ObsId i);
+
 /// Packs a selector into the low four bits (full, partial, compl, dim-map).
 uint32_t SelectorBits(const RelationshipSelector& selector);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -694,23 +693,7 @@ bool ExtendsBase(const RelationshipSnapshot& base,
     }
   }
   for (qb::ObsId i = 0; i < old.size(); ++i) {
-    const qb::Observation& was = old.obs(i);
-    const qb::Observation& now = observations.obs(i);
-    if (now.dataset != was.dataset || now.values.size() != was.values.size()) {
-      return false;
-    }
-    for (qb::DimId d = 0; d < k; ++d) {
-      if (observations.ValueOrRoot(i, d) != old.ValueOrRoot(i, d)) {
-        return false;
-      }
-    }
-    for (std::size_t v = 0; v < was.values.size(); ++v) {
-      if (now.values[v].first != was.values[v].first ||
-          std::bit_cast<uint64_t>(now.values[v].second) !=
-              std::bit_cast<uint64_t>(was.values[v].second)) {
-        return false;
-      }
-    }
+    if (!SameObservation(old, observations, i)) return false;
   }
   return true;
 }
@@ -720,13 +703,19 @@ bool ExtendsBase(const RelationshipSnapshot& base,
 // rows are kept and the tail is written as the base's tail plus the new
 // entries, unless that tail would hold more entries than the frozen rows
 // under it; then everything is written into one flat frozen set instead.
-// That fixed rule keeps a row to two stretches and bounds what a chain of
-// refreshes copies.
+// A row is two stretches either way; the fixed rule bounds the tail a
+// refresh copies by the frozen rows, where without it every refresh in a
+// chain copies everything appended since the last flat write (a chain of
+// 120 reloads took twice the CPU, EXPERIMENTS.md "Fold or never fold").
 template <typename ForEach>
 RowSet Extend(const RowSet& base, std::size_t n, std::size_t added,
               bool with_counts, ForEach&& for_each) {
   const std::size_t tail = base.tail.ids.size() + added;
   if (tail > base.frozen->ids.size()) {
+    static obs::Counter& folds = obs::DefaultCounter(
+        "rdfcube_core_snapshot_folds_total",
+        "Row sets a snapshot refresh wrote flat instead of as a tail");
+    folds.Increment();
     const std::array<Part, 2> parts = PartsOf(base);
     return Frozen(Scatter(n, parts, with_counts, for_each));
   }

@@ -115,7 +115,10 @@ class RelationshipSnapshot {
   /// and no tail. A refresh keeps its base's frozen rows and writes the
   /// base's tail plus its delta as its own tail, unless that tail would hold
   /// more entries than the frozen rows: then it writes one flat frozen set
-  /// instead, so a row is always two stretches at most.
+  /// instead (a fold). A row is two stretches at most either way; the fold
+  /// bounds the tail a refresh copies by the frozen rows under it, where
+  /// without it every refresh in a chain would copy everything appended
+  /// since the last flat write.
   struct RowSet {
     /// Never null once the snapshot is built.
     std::shared_ptr<const Rows> frozen;

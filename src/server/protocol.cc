@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "base/untrusted.h"
 #include "core/snapshot_io.h"
@@ -41,13 +42,14 @@ T Load(const char* p) {
 }
 
 // Element `i` of a counted run of fixed-width fields that starts at `run`,
-// as a forward iterator that decodes one element per step: `assign` from
-// element 0 to element `count` sizes a vector once and writes each element
-// once, where `resize` would value-initialize every element first.
+// as a random-access iterator that decodes one element per dereference:
+// `assign` from element 0 to element `count` takes the size from the two
+// indices, sizes a vector once and writes each element once, where
+// `resize` would value-initialize every element first.
 template <typename T, std::size_t kStride, T (*kDecode)(const char*)>
 class Run {
  public:
-  using iterator_category = std::forward_iterator_tag;
+  using iterator_category = std::random_access_iterator_tag;
   using value_type = T;
   using difference_type = std::ptrdiff_t;
   using pointer = const T*;
@@ -57,16 +59,23 @@ class Run {
   Run(const char* run, std::size_t i) : run_(run), i_(i) {}
 
   T operator*() const { return kDecode(run_ + i_ * kStride); }
-  Run& operator++() {
-    ++i_;
+  T operator[](difference_type k) const { return *(*this + k); }
+  Run& operator+=(difference_type k) {
+    i_ += k;
     return *this;
   }
-  Run operator++(int) {
-    Run before = *this;
-    ++i_;
-    return before;
+  Run& operator-=(difference_type k) { return *this += -k; }
+  Run& operator++() { return *this += 1; }
+  Run& operator--() { return *this -= 1; }
+  Run operator++(int) { return std::exchange(*this, *this + 1); }
+  Run operator--(int) { return std::exchange(*this, *this - 1); }
+  friend Run operator+(Run it, difference_type k) { return it += k; }
+  friend Run operator+(difference_type k, Run it) { return it += k; }
+  friend Run operator-(Run it, difference_type k) { return it -= k; }
+  friend difference_type operator-(const Run& a, const Run& b) {
+    return static_cast<difference_type>(a.i_ - b.i_);
   }
-  bool operator==(const Run& other) const = default;
+  auto operator<=>(const Run& other) const = default;
 
  private:
   const char* run_ = nullptr;

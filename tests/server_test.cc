@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -1297,7 +1298,8 @@ void ExpectSameReads(const RelationshipSnapshot& got,
 // would outgrow them: then the rows are folded into one flat frozen set. A
 // chain from one base through small appends (tails under the frozen rows),
 // one large append (which must fold) and a small append over the folded
-// rows reads like a Build at every step.
+// rows reads like a Build at every step, and folds exactly the row sets
+// the rule names (the fold changes no read, only what a refresh copies).
 TEST(SnapshotTest, ChainedTailsAndAFoldReadLikeBuild) {
   const qb::Corpus whole = MakeRandomCorpus(31, 130);
   const std::size_t base_n = 60;
@@ -1319,13 +1321,39 @@ TEST(SnapshotTest, ChainedTailsAndAFoldReadLikeBuild) {
               folds)
         << "step " << steps[i];
   }
+  // Each row set (full, containers, partial, complements) folds exactly
+  // when its tail, every entry since its last flat write, would hold more
+  // entries than its frozen rows.
+  auto entries = [](const RelationshipSnapshot& s) {
+    return std::array<std::size_t, 4>{s.num_full(), s.num_full(),
+                                      s.num_partial(),
+                                      2 * s.num_complementary()};
+  };
+  std::array<std::size_t, 4> frozen = entries(*base);
   RelationshipSnapshot::Ptr chained = base;
   for (std::size_t i = 0; i < built.size(); ++i) {
+    const uint64_t folds_before =
+        GlobalCounterValue("rdfcube_core_snapshot_folds_total");
     auto next = RelationshipSnapshot::BuildIncremental(
         *chained, PrefixOf(whole, steps[i]), {});
     ASSERT_TRUE(next.ok()) << next.status().ToString();
     chained = next.value();
     ExpectSameReads(*chained, *built[i], "step " + std::to_string(steps[i]));
+    uint64_t want_folds = 0;
+    const std::array<std::size_t, 4> now = entries(*built[i]);
+    for (std::size_t set = 0; set < now.size(); ++set) {
+      if (now[set] - frozen[set] > frozen[set]) {
+        ++want_folds;
+        frozen[set] = now[set];
+      }
+    }
+    EXPECT_EQ(GlobalCounterValue("rdfcube_core_snapshot_folds_total") -
+                  folds_before,
+              want_folds)
+        << "step " << steps[i];
+    if (steps[i] == fold) {
+      EXPECT_GE(want_folds, 3u);
+    }
   }
 }
 
